@@ -46,9 +46,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg, rc = _load_config(args.config)
     if cfg is None:
         return rc
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     try:
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
         model = cfg.build_model()
     except ConfigError as exc:
         _fail(str(exc))

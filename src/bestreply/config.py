@@ -9,6 +9,7 @@ the output manifest stays machine-replayable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -33,9 +34,10 @@ __all__ = [
 ]
 
 _MODELS = ("evacuation", "refinancing", "custom")
-_SWEEP_MODES = ("all_particles_per_step", "one_particle_per_step")
 _COST_EVALS = ("pre_step", "post_step")
 _THETA_SELF = ("exclude", "include")
+# seeds key counter-based Philox streams as an unsigned 64-bit word
+_SEED_LIMIT = 2**64
 
 # geometry defaults the two shipped models were calibrated with; the custom
 # model must state its geometry explicitly
@@ -89,10 +91,8 @@ class RunConfig:
     phase1_keep_fraction: float
     max_sweeps: int
     convergence_threshold: float
-    sweep_mode: str
     cost_eval: str
     theta_self: str
-    workers: int
 
     def __post_init__(self) -> None:
         if self.model not in _MODELS:
@@ -112,6 +112,8 @@ class RunConfig:
             raise ConfigError("domain_lo must be below domain_hi")
         if not self.control_lo < self.control_hi:
             raise ConfigError("control_lo must be below control_hi")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.sigma < 0.0:
             raise ConfigError("sigma must be non-negative")
         for t in self.snapshot_times:
@@ -127,14 +129,10 @@ class RunConfig:
             raise ConfigError("max_sweeps must be non-negative")
         if self.convergence_threshold < 0.0:
             raise ConfigError("convergence_threshold must be non-negative")
-        if self.sweep_mode not in _SWEEP_MODES:
-            raise ConfigError(f"sweep_mode must be one of {_SWEEP_MODES}")
         if self.cost_eval not in _COST_EVALS:
             raise ConfigError(f"cost_eval must be one of {_COST_EVALS}")
         if self.theta_self not in _THETA_SELF:
             raise ConfigError(f"theta_self must be one of {_THETA_SELF}")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         if self.rate_choice != "default":
             raise ConfigError("rate_choice only supports 'default'")
         if self.state_cost_choice != "default":
@@ -178,9 +176,7 @@ class RunConfig:
     def sweep_options(self) -> SweepOptions:
         return SweepOptions(
             cost_eval=self.cost_eval,
-            sweep_mode=self.sweep_mode,
             theta_self=self.theta_self,
-            workers=self.workers,
             convergence_threshold=self.convergence_threshold,
         )
 
@@ -220,13 +216,25 @@ _KEYS: dict[str, tuple[str, object, tuple]] = {
     "phase1_keep_fraction": ("float", 0.01, _MODELS),
     "max_sweeps": ("int", 50, _MODELS),
     "convergence_threshold": ("float", 0.0, _MODELS),
-    "sweep_mode": ("str", "all_particles_per_step", _MODELS),
     "cost_eval": ("str", "pre_step", _MODELS),
     "theta_self": ("str", "exclude", _MODELS),
-    "workers": ("int", 1, _MODELS),
+}
+
+# keys earlier versions accepted; a config or manifest that still sets one is
+# refused with the reason instead of the generic unknown-key error
+_REMOVED_KEYS = {
+    "workers": "the sweep runs on one thread",
+    "sweep_mode": "every sweep visits all live particles at every step",
 }
 
 assert set(_KEYS) == {f.name for f in fields(RunConfig)}
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
 
 
 def _convert(key: str, kind: str, raw: str, line: int):
@@ -234,7 +242,7 @@ def _convert(key: str, kind: str, raw: str, line: int):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "bool":
             if raw == "true":
                 return True
@@ -244,11 +252,12 @@ def _convert(key: str, kind: str, raw: str, line: int):
         if kind == "float_list":
             if raw == "":
                 return ()
-            return tuple(float(part.strip()) for part in raw.split(","))
+            return tuple(_finite(part.strip()) for part in raw.split(","))
         return raw
     except ValueError:
+        label = {"float": "finite float", "float_list": "list of finite floats"}.get(kind, kind)
         raise ConfigError(
-            f"value {raw!r} for key {key!r} is not a valid {kind}", line
+            f"value {raw!r} for key {key!r} is not a valid {label}", line
         ) from None
 
 
@@ -271,6 +280,8 @@ def parse_config(path: Union[str, Path]) -> RunConfig:
         value = value.strip()
         if not key:
             raise ConfigError("missing key before '='", line_no)
+        if key in _REMOVED_KEYS:
+            raise ConfigError(f"key {key!r} was removed: {_REMOVED_KEYS[key]}", line_no)
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", line_no)
         if key in raw:

@@ -12,14 +12,13 @@ domain boundary are absorbed: frozen in place, excluded from every later
 empirical measure, and free of further cost.
 
 Determinism contract: all randomness flows from counter-based streams keyed
-by (seed, purpose, phase, index), so reruns and different worker counts
-produce bit-identical trajectories.
+by (seed, purpose, phase, index), so reruns produce bit-identical
+trajectories.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -57,6 +56,7 @@ __all__ = [
 _PURPOSE_NOISE = 0
 _PURPOSE_PERMUTATION = 1
 _CDF_POINTS = 4097
+_SUM_LANES = 64
 
 
 # --------------------------------------------------------------------------
@@ -130,33 +130,20 @@ class SweepOptions:
     ``cost_eval`` places the one-step cost at the pre-step position
     ("pre_step", the default) or at the deterministic lookahead position
     x + drift*dt ("post_step"); the lookahead requires a drift without
-    mean-control terms. ``sweep_mode`` visits every active particle at every
-    step ("all_particles_per_step") or exactly one particle per step
-    ("one_particle_per_step"). ``theta_self`` controls whether a deciding
+    mean-control terms. ``theta_self`` controls whether a deciding
     particle's own atom is included in the mean control it reacts to.
     """
 
     cost_eval: str = "pre_step"
-    sweep_mode: str = "all_particles_per_step"
     theta_self: str = "exclude"
-    workers: int = 1
-    worker_chunk_min: int = 64
     convergence_threshold: float = 0.0
     metric: WeakStarMetricConfig = field(default_factory=WeakStarMetricConfig)
 
     def __post_init__(self) -> None:
         if self.cost_eval not in ("pre_step", "post_step"):
             raise ValueError("cost_eval must be 'pre_step' or 'post_step'")
-        if self.sweep_mode not in ("all_particles_per_step", "one_particle_per_step"):
-            raise ValueError(
-                "sweep_mode must be 'all_particles_per_step' or 'one_particle_per_step'"
-            )
         if self.theta_self not in ("exclude", "include"):
             raise ValueError("theta_self must be 'exclude' or 'include'")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.worker_chunk_min < 2:
-            raise ValueError("worker_chunk_min must be at least 2")
         if self.convergence_threshold < 0.0:
             raise ValueError("convergence_threshold must be non-negative")
 
@@ -378,13 +365,28 @@ def simulate_initial(
 # --------------------------------------------------------------------------
 
 
+def _fixed_order_sum(values: np.ndarray) -> float:
+    """Sum of a 1-d float array whose rounding depends only on its length.
+
+    The values are accumulated row by row into ``_SUM_LANES`` lane totals
+    (element i goes to lane i % _SUM_LANES), which are then added with
+    ``math.fsum``. Unlike ``np.dot`` the result does not depend on the BLAS
+    library, its thread count or the CPU it runs on.
+    """
+    full = values.size - values.size % _SUM_LANES
+    lanes = np.add.reduce(values[:full].reshape(-1, _SUM_LANES), axis=0)
+    lanes[: values.size - full] += values[full:]
+    return math.fsum(lanes.tolist())
+
+
 def graded_joint_moments(
     x: np.ndarray, alpha: np.ndarray, weights: np.ndarray, n_terms: int
 ) -> np.ndarray:
     """First ``n_terms`` graded monomial moments of an atomic (x, alpha) measure.
 
     Matches the basis ordering of kernels.monomial_exponents for two
-    variables: degree blocks, x-exponent descending within each block.
+    variables: degree blocks, x-exponent descending within each block. Each
+    moment is an order-fixed sum, so it is the same on every machine.
     """
     x = np.asarray(x, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -404,12 +406,15 @@ def graded_joint_moments(
     for e in range(1, max_deg + 1):
         xp[e] = xp[e - 1] * x
         ap[e] = ap[e - 1] * alpha
+    terms = np.empty(x.size)
     k = 0
     for degree in range(max_deg + 1):
         for j in range(degree + 1):
             if k == n_terms:
                 return moments
-            moments[k] = float(np.dot(weights, xp[degree - j] * ap[j]))
+            np.multiply(xp[degree - j], ap[j], out=terms)
+            terms *= weights
+            moments[k] = _fixed_order_sum(terms)
             k += 1
     return moments
 
@@ -476,35 +481,39 @@ def sweep_best_reply(
     outright). The adopted control is the grid argmin of the one-step cost,
     ties resolving to the smallest grid index; the particle then advances
     immediately through the dynamics.
+
+    Each particle is visited at most once per step, so everything a decision
+    reads about its own particle is fixed when the step starts; only the
+    running mass, first moment and mean-control sums carry from one decision
+    to the next. The step's columns are therefore gathered in visit order
+    once, the decisions run on plain floats, and the results are scattered
+    back once. The model's ``state_cost`` is called once per decision under
+    ``post_step`` pricing and ``state_gain`` once per decision unless the
+    model declares it zero.
     """
     n, n_steps = prev.n_particles, prev.n_steps
     w, dt = prev.weight, prev.dt
     g = grid.points
-    n_grid = g.size
     lo, hi = model.domain
     post = options.cost_eval == "post_step"
     include_self = options.theta_self == "include"
-    one_per_step = options.sweep_mode == "one_particle_per_step"
-    if post and not (model.state_gain_is_zero and model.drift_base_is_zero):
+    if not model.drift_base_is_zero:
+        raise ValueError(
+            "the sweep needs a drift free of population kernels (drift_base_is_zero)"
+        )
+    if post and not model.state_gain_is_zero:
         raise ValueError(
             "post_step cost evaluation needs a drift free of population terms; "
-            "this model's drift depends on the mean control or a kernel"
+            "this model's drift depends on the mean control"
         )
-    quad = dt * model.quad_weight * g * g
     coef_dt = dt * model.coupling_coef
     noise_scale = 2.0 * math.sqrt(model.diffusion) * math.sqrt(dt)
     g_dt = g * dt
-    gain_zero = model.state_gain_is_zero
-    base_zero = model.drift_base_is_zero
+    # the cost of control a is [dt * state cost] + q + s_lin * a, with q the
+    # quadratic term; (q0, a0) opens the scan and ``terms`` continues it
+    (q0, a0), *terms = zip((dt * model.quad_weight * g * g).tolist(), g.tolist())
     state_cost = model.state_cost
-    state_gain = model.state_gain
-
-    use_pool = post and options.workers > 1 and n_grid >= options.worker_chunk_min
-    pool = ThreadPoolExecutor(max_workers=options.workers) if use_pool else None
-    if use_pool:
-        bounds = np.linspace(0, n_grid, options.workers + 1).astype(int)
-        chunks = [slice(bounds[i], bounds[i + 1]) for i in range(options.workers)
-                  if bounds[i] < bounds[i + 1]]
+    state_gain = None if model.state_gain_is_zero else model.state_gain
 
     new_x = np.empty((n, n_steps + 1))
     new_x[:, 0] = prev.x[:, 0]
@@ -516,119 +525,82 @@ def sweep_best_reply(
     stats = _LiveStats(0.0, 0.0, _EMPTY, _EMPTY)
     modifications = 0
 
-    try:
-        for step in range(n_steps):
-            t_n = step * dt
-            prev_alpha_n = prev.alpha[:, step]
-            prev_x_n = prev.x[:, step]
-            prev_act = prev.exit_step > step
-            present = prev_act & cur_active
-            atom_x = np.where(prev_act, prev_x_n, 0.0)
-            own_alpha = np.where(prev_act, prev_alpha_n, 0.0)
-            s_mass = w * np.count_nonzero(present)
-            s_x = w * float(atom_x[present].sum())
-            s_alpha = w * float(own_alpha[present].sum())
+    for step in range(n_steps):
+        t_n = step * dt
+        prev_x_n = prev.x[:, step]
+        prev_alpha_n = prev.alpha[:, step]
+        prev_act = prev.exit_step > step
+        present = prev_act & cur_active
+        s_mass = w * np.count_nonzero(present)
+        s_x = w * float(prev_x_n[present].sum())
+        s_alpha = w * float(prev_alpha_n[present].sum())
 
-            order = perm_rng.permutation(n)
-            if one_per_step:
-                candidate = order[step % n]
-                visits = np.array([candidate]) if cur_active[candidate] else np.empty(0, dtype=int)
+        order = perm_rng.permutation(n)
+        visits = order[cur_active[order]]
+        x_v = cur_x[visits]
+        # a visitor the previous sweep had absorbed by now carries no atom:
+        # it joins the sums when visited, with a zero control
+        seen_v = prev_act[visits]
+        own_v = np.where(seen_v, prev_alpha_n[visits], 0.0)
+        rows = x_v[:, None] + g_dt[None, :] if post else [None] * visits.size
+        adopted = []
+        landed = []
+        exited = []
+        for k, xk, seen, atom, own, noise, row in zip(
+            visits.tolist(), x_v.tolist(), seen_v.tolist(),
+            prev_x_n[visits].tolist(), own_v.tolist(),
+            (noise_scale * xi[visits, step]).tolist(), rows,
+        ):
+            if seen:
+                s_x += w * (xk - atom)
             else:
-                visits = order[cur_active[order]]
+                s_mass += w
+                s_x += w * xk
+                s_alpha += w * own
+            theta = s_alpha if include_self else s_alpha - w * own
+            s_lin = coef_dt * theta
+            # first minimum (strict <), as np.argmin
             if post:
-                lookahead = cur_x[:, None] + g_dt[None, :]
-            visited = np.zeros(n, dtype=bool) if one_per_step else None
+                stats.mass = s_mass
+                stats.first_moment = s_x
+                state = state_cost(t_n, row, stats).tolist()
+                best = dt * state[0] + q0 + s_lin * a0
+                a_new = a0
+                for c, (q, a) in zip(state[1:], terms):
+                    c = dt * c + q + s_lin * a
+                    if c < best:
+                        best = c
+                        a_new = a
+            else:
+                best = q0 + s_lin * a0
+                a_new = a0
+                for q, a in terms:
+                    c = q + s_lin * a
+                    if c < best:
+                        best = c
+                        a_new = a
+            # a decision at a step the particle previously did not reach
+            # counts as a strategy change even if the value matches the
+            # zero fill of the stored array
+            if not seen or a_new != own:
+                modifications += 1
+            s_alpha += w * (a_new - own)
+            gain = 0.0 if state_gain is None else state_gain(s_alpha)
+            x_next = xk + (gain * xk + a_new) * dt + noise
+            if x_next <= lo:
+                x_next = lo
+                exited.append(k)
+            elif x_next >= hi:
+                x_next = hi
+                exited.append(k)
+            adopted.append(a_new)
+            landed.append(x_next)
 
-            for k in visits:
-                xk = cur_x[k]
-                if present[k]:
-                    s_x += w * (xk - atom_x[k])
-                else:
-                    present[k] = True
-                    s_mass += w
-                    s_x += w * xk
-                    s_alpha += w * own_alpha[k]
-                atom_x[k] = xk
-                fresh = not prev_act[k]
-                theta = s_alpha if include_self else s_alpha - w * own_alpha[k]
-                s_lin = coef_dt * theta
-                if post:
-                    stats.mass = s_mass
-                    stats.first_moment = s_x
-                    row = lookahead[k]
-                    if use_pool:
-                        parts = pool.map(
-                            lambda sl: dt * state_cost(t_n, row[sl], stats)
-                            + quad[sl] + s_lin * g[sl],
-                            chunks,
-                        )
-                        cost = np.concatenate(list(parts))
-                    else:
-                        cost = dt * state_cost(t_n, row, stats) + quad + s_lin * g
-                else:
-                    cost = quad + s_lin * g
-                j = int(np.argmin(cost))
-                a_new = g[j]
-                # a decision at a step the particle previously did not reach
-                # counts as a strategy change even if the value matches the
-                # zero fill of the stored array
-                if fresh or a_new != prev_alpha_n[k]:
-                    modifications += 1
-                new_alpha[k, step] = a_new
-                s_alpha += w * (a_new - own_alpha[k])
-                own_alpha[k] = a_new
-                if base_zero:
-                    base = 0.0
-                else:
-                    live = _LiveStats(s_mass, s_x, atom_x[present],
-                                      np.full(int(round(s_mass / w)), w))
-                    base = float(model.drift_base(t_n, np.asarray([xk]), live)[0])
-                gain = 0.0 if gain_zero else state_gain(s_alpha)
-                drift = base + gain * xk + a_new
-                x_next = xk + drift * dt + noise_scale * xi[k, step]
-                if x_next <= lo:
-                    x_next = lo
-                    new_exit[k] = step + 1
-                    cur_active[k] = False
-                elif x_next >= hi:
-                    x_next = hi
-                    new_exit[k] = step + 1
-                    cur_active[k] = False
-                cur_x[k] = x_next
-                if visited is not None:
-                    visited[k] = True
-
-            if one_per_step:
-                # everyone else keeps their carried control and advances
-                for k in np.nonzero(cur_active & ~visited)[0]:
-                    a_k = own_alpha[k]
-                    new_alpha[k, step] = a_k
-                    if not prev_act[k] or a_k != prev_alpha_n[k]:
-                        modifications += 1
-                    xk = cur_x[k]
-                    if base_zero:
-                        base = 0.0
-                    else:
-                        live = _LiveStats(s_mass, s_x, atom_x[present],
-                                          np.full(int(round(s_mass / w)), w))
-                        base = float(model.drift_base(t_n, np.asarray([xk]), live)[0])
-                    gain = 0.0 if gain_zero else state_gain(s_alpha)
-                    drift = base + gain * xk + a_k
-                    x_next = xk + drift * dt + noise_scale * xi[k, step]
-                    if x_next <= lo:
-                        x_next = lo
-                        new_exit[k] = step + 1
-                        cur_active[k] = False
-                    elif x_next >= hi:
-                        x_next = hi
-                        new_exit[k] = step + 1
-                        cur_active[k] = False
-                    cur_x[k] = x_next
-
-            new_x[:, step + 1] = cur_x
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        new_alpha[visits, step] = adopted
+        cur_x[visits] = landed
+        new_exit[exited] = step + 1
+        cur_active[exited] = False
+        new_x[:, step + 1] = cur_x
 
     new_traj = TrajectorySet(
         x=new_x, alpha=new_alpha, exit_step=new_exit, weight=w, dt=dt

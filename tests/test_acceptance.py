@@ -9,7 +9,6 @@ computed once per session and shared by the criteria that inspect it.
 import hashlib
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -286,27 +285,12 @@ def test_c7_determinism(desk, tmp_path):
     rerun_dir = tmp_path / "rerun"
     write_outputs(desk.cfg, rerun.outcome, rerun_dir)
 
-    threaded_options = replace(desk.options, workers=2, worker_chunk_min=2)
-    threaded = run_two_phase(
-        desk.model, desk.grid,
-        n_particles=desk.cfg.n_particles, dt=desk.cfg.dt,
-        n_steps=desk.cfg.n_steps, seed=desk.cfg.seed,
-        max_sweeps=desk.cfg.max_sweeps, options=threaded_options,
-        phase1_enabled=desk.cfg.phase1_enabled,
-        phase1_particles=desk.cfg.phase1_particles,
-        keep_fraction=desk.cfg.phase1_keep_fraction,
-    )
-    threaded_dir = tmp_path / "threaded"
-    write_outputs(desk.cfg, threaded, threaded_dir)
-
     csvs = sorted(p.name for p in desk.out.glob("*.csv"))
     mismatched = []
     for name in csvs:
         base = (desk.out / name).read_bytes()
         if (rerun_dir / name).read_bytes() != base:
             mismatched.append(f"rerun:{name}")
-        if (threaded_dir / name).read_bytes() != base:
-            mismatched.append(f"workers:{name}")
     manifest_same = (
         (desk.out / "manifest.txt").read_bytes()
         == (rerun_dir / "manifest.txt").read_bytes()
@@ -314,7 +298,7 @@ def test_c7_determinism(desk, tmp_path):
     _line(
         "7 determinism",
         not mismatched and manifest_same,
-        f"{len(csvs)} CSVs byte-identical across rerun and worker change"
+        f"{len(csvs)} CSVs byte-identical across reruns"
         + (f"; mismatches {mismatched}" if mismatched else ""),
     )
 

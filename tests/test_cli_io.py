@@ -79,10 +79,8 @@ def test_parse_minimal_fills_documented_defaults(tmp_path):
     assert cfg.phase1_keep_fraction == 0.01
     assert cfg.max_sweeps == 50
     assert cfg.convergence_threshold == 0.0
-    assert cfg.sweep_mode == "all_particles_per_step"
     assert cfg.cost_eval == "pre_step"
     assert cfg.theta_self == "exclude"
-    assert cfg.workers == 1
     assert cfg.n_steps == 1000
 
 
@@ -126,6 +124,33 @@ def test_bad_number_is_parse_error_with_line(tmp_path):
     path = _write(tmp_path, "model = evacuation\ndt = fast\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("key, value", [("workers", "1"), ("sweep_mode", "all_particles_per_step")])
+def test_removed_key_rejected_by_name(tmp_path, key, value):
+    path = _write(tmp_path, f"model = evacuation\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match="line 2") as exc:
+        parse_config(path)
+    message = str(exc.value)
+    assert f"{key!r} was removed" in message
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("line", ["eta = nan", "T = inf", "snapshot_times = 0.5,-inf"])
+def test_non_finite_float_rejected(tmp_path, line):
+    # a NaN weight would make every candidate's cost NaN, and the argmin
+    # would silently pick the first grid control
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"line 2.*'{key}'.*finite"):
+        parse_config(_write(tmp_path, f"model = evacuation\n{line}\n"))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(tmp_path, seed):
+    # seeds key the Philox streams as an unsigned 64-bit word
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        parse_config(_write(tmp_path, f"model = evacuation\nseed = {seed}\n"))
+    assert parse_config(_write(tmp_path, f"model = evacuation\nseed = {2**64 - 1}\n"))
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -209,7 +234,7 @@ def test_boolean_and_list_values(tmp_path):
 
 
 def test_format_parse_roundtrip(tmp_path):
-    cfg = parse_config(_mini_evacuation(tmp_path, phase1_enabled="true", workers="2"))
+    cfg = parse_config(_mini_evacuation(tmp_path, phase1_enabled="true", theta_self="include"))
     text = format_config(cfg)
     back = parse_config(_write(tmp_path, text, name="round.cfg"))
     assert back == cfg
@@ -244,7 +269,7 @@ def test_shipped_configs_parse():
 
 
 def test_build_model_grid_and_options(tmp_path):
-    cfg = parse_config(_mini_evacuation(tmp_path, workers="3", theta_self="include"))
+    cfg = parse_config(_mini_evacuation(tmp_path, theta_self="include"))
     model = cfg.build_model()
     assert model.name == "evacuation"
     assert model.domain == (0.0, 1.0)
@@ -254,7 +279,6 @@ def test_build_model_grid_and_options(tmp_path):
     assert grid.lo == -0.2 and grid.hi == 0.2
     opts = cfg.sweep_options()
     assert opts.cost_eval == "post_step"
-    assert opts.workers == 3
     assert opts.theta_self == "include"
 
 
@@ -448,6 +472,21 @@ def test_cli_run_missing_config_exits_3(tmp_path):
 def test_cli_run_invalid_config_exits_1(tmp_path):
     cfg_path = _write(tmp_path, "model = evacuation\ndt = 0\n")
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_run_out_of_range_seed_override_exits_1(tmp_path, capsys):
+    cfg_path = _mini_refinancing(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must lie in") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_run_nan_parameter_exits_1(tmp_path, capsys):
+    cfg_path = _mini_evacuation(tmp_path, eta="nan")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "eta" in capsys.readouterr().err
 
 
 def test_cli_run_unwritable_out_exits_3(tmp_path):

@@ -251,39 +251,6 @@ def test_greedy_optimality_spot_check():
     assert gap <= 1e-12
 
 
-def test_determinism_across_worker_counts():
-    model = evacuation_model()
-    grid = ControlGrid.uniform(-0.2, 0.2, 41)
-    ens = init_ensemble(25, model.initial_density, model.domain, grid)
-    base = run_to_equilibrium(
-        model, grid, ens, dt=0.004, n_steps=60, seed=2, max_sweeps=8,
-        options=SweepOptions(cost_eval="post_step", workers=1, worker_chunk_min=8),
-    )
-    threaded = run_to_equilibrium(
-        model, grid, ens, dt=0.004, n_steps=60, seed=2, max_sweeps=8,
-        options=SweepOptions(cost_eval="post_step", workers=4, worker_chunk_min=8),
-    )
-    assert np.array_equal(base.trajectories.x, threaded.trajectories.x)
-    assert np.array_equal(base.trajectories.alpha, threaded.trajectories.alpha)
-    assert [r.modifications for r in base.reports] == [
-        r.modifications for r in threaded.reports
-    ]
-
-
-def test_one_particle_per_step_mode_converges():
-    model = _noninteracting()
-    grid = _grid11()
-    ens = init_ensemble(3, model.initial_density, model.domain, grid)
-    result = run_to_equilibrium(
-        model, grid, ens, dt=0.01, n_steps=30, seed=4, max_sweeps=60,
-        options=SweepOptions(sweep_mode="one_particle_per_step"),
-    )
-    assert result.converged
-    zero = grid.points[5]
-    active = result.trajectories.exit_step[:, None] > np.arange(30)[None, :]
-    assert np.all(result.trajectories.alpha[active] == zero)
-
-
 def test_refinancing_smoke_run():
     model = refinancing_model()
     grid = ControlGrid.uniform(-0.05, 0.05, 11)
@@ -294,6 +261,17 @@ def test_refinancing_smoke_run():
     mass = mass_series(result.trajectories)
     assert np.all(np.diff(mass) <= 0.0)
     assert mass[-1] < mass[0]  # compounding debt pushes tails out
+
+
+def test_sweep_rejects_kernel_drift():
+    model = evacuation_model(
+        EvacuationParams(kernel=lambda u: np.exp(-np.square(np.asarray(u, float))))
+    )
+    grid = _grid11()
+    ens = init_ensemble(5, model.initial_density, model.domain, grid)
+    with pytest.raises(ValueError, match="drift_base_is_zero"):
+        run_to_equilibrium(model, grid, ens, dt=0.01, n_steps=10, seed=0,
+                           max_sweeps=1, options=SweepOptions())
 
 
 def test_post_step_lookahead_rejected_for_mean_control_drift():
