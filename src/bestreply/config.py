@@ -33,14 +33,17 @@ __all__ = [
     "shipped_config_path",
 ]
 
-_MODELS = ("evacuation", "refinancing", "custom")
+_MODELS = ("evacuation", "refinancing")
 _COST_EVALS = ("pre_step", "post_step")
 _THETA_SELF = ("exclude", "include")
 # seeds key counter-based Philox streams as an unsigned 64-bit word
 _SEED_LIMIT = 2**64
+# particles x time points of the largest trajectory set a run may hold. The
+# sweep keeps several float arrays of this size, so 5e7 cells is about 2 GB;
+# evacuation_full.cfg needs 6.0e6
+_MAX_TRAJECTORY_CELLS = 50_000_000
 
-# geometry defaults the two shipped models were calibrated with; the custom
-# model must state its geometry explicitly
+# geometry defaults the two shipped models were calibrated with
 _GEOMETRY_DEFAULTS = {
     "evacuation": {"domain_lo": 0.0, "domain_hi": 1.0, "control_lo": -0.2, "control_hi": 0.2},
     "refinancing": {"domain_lo": -1.0, "domain_hi": 1.0, "control_lo": -0.05, "control_hi": 0.05},
@@ -81,8 +84,6 @@ class RunConfig:
     eps: float
     softening: float
     m1: float
-    rate_choice: str
-    state_cost_choice: str
     kde_bandwidth: float
     snapshot_times: tuple
     value_trace_starts: tuple
@@ -101,11 +102,20 @@ class RunConfig:
             raise ConfigError("dt must be positive")
         if not self.T > 0.0:
             raise ConfigError("T must be positive")
-        ratio = self.T / self.dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError("T must be an integer multiple of dt (within 1e-9)")
         if self.n_particles < 1:
             raise ConfigError("n_particles must be at least 1")
+        if self.phase1_particles < 1:
+            raise ConfigError("phase1_particles must be at least 1")
+        ratio = self.T / self.dt
+        particles = max(self.n_particles, self.phase1_particles if self.phase1_enabled else 1)
+        cells = particles * (ratio + 1.0)
+        if not cells <= _MAX_TRAJECTORY_CELLS:
+            raise ConfigError(
+                f"run too large: {particles} particles x {ratio + 1.0:.6g} time points "
+                f"= {cells:.3g} trajectory cells, above the limit of {_MAX_TRAJECTORY_CELLS:.3g}"
+            )
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ConfigError("T must be an integer multiple of dt (within 1e-9)")
         if self.n_alpha < 2:
             raise ConfigError("n_alpha must be at least 2")
         if not self.domain_lo < self.domain_hi:
@@ -121,8 +131,6 @@ class RunConfig:
                 raise ConfigError(f"snapshot_times entry {t!r} outside [0, T]")
         if not self.kde_bandwidth > 0.0:
             raise ConfigError("kde_bandwidth must be positive")
-        if self.phase1_particles < 1:
-            raise ConfigError("phase1_particles must be at least 1")
         if not 0.0 <= self.phase1_keep_fraction <= 1.0:
             raise ConfigError("phase1_keep_fraction must lie in [0, 1]")
         if self.max_sweeps < 0:
@@ -133,10 +141,6 @@ class RunConfig:
             raise ConfigError(f"cost_eval must be one of {_COST_EVALS}")
         if self.theta_self not in _THETA_SELF:
             raise ConfigError(f"theta_self must be one of {_THETA_SELF}")
-        if self.rate_choice != "default":
-            raise ConfigError("rate_choice only supports 'default'")
-        if self.state_cost_choice != "default":
-            raise ConfigError("state_cost_choice only supports 'default'")
         if self.model == "refinancing" and self.cost_eval == "post_step":
             raise ConfigError(
                 "cost_eval = post_step needs a drift without population terms; "
@@ -158,17 +162,12 @@ class RunConfig:
                 return evacuation_model(
                     params, domain=domain, control_bounds=bounds, sigma=self.sigma
                 )
-            if self.model == "refinancing":
-                params = RefinancingParams(M1=self.m1, eps=self.eps)
-                return refinancing_model(
-                    params, domain=domain, control_bounds=bounds, sigma=self.sigma
-                )
+            params = RefinancingParams(M1=self.m1, eps=self.eps)
+            return refinancing_model(
+                params, domain=domain, control_bounds=bounds, sigma=self.sigma
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        raise ConfigError(
-            "custom models are constructed programmatically; "
-            "the command line can only run the named models"
-        )
 
     def build_grid(self) -> ControlGrid:
         return ControlGrid.uniform(self.control_lo, self.control_hi, self.n_alpha)
@@ -206,8 +205,6 @@ _KEYS: dict[str, tuple[str, object, tuple]] = {
     "eps": ("float", 0.5, _MODELS),
     "softening": ("float", 0.2, ("evacuation",)),
     "m1": ("float", 0.1, ("refinancing",)),
-    "rate_choice": ("str", "default", ("refinancing",)),
-    "state_cost_choice": ("str", "default", ("refinancing",)),
     "kde_bandwidth": ("float", 0.05, _MODELS),
     "snapshot_times": ("float_list", (), _MODELS),
     "value_trace_starts": ("float_list", (), _MODELS),
@@ -225,6 +222,8 @@ _KEYS: dict[str, tuple[str, object, tuple]] = {
 _REMOVED_KEYS = {
     "workers": "the sweep runs on one thread",
     "sweep_mode": "every sweep visits all live particles at every step",
+    "rate_choice": "the refinancing rate is always 0.05 + theta",
+    "state_cost_choice": "the refinancing state cost is always (1 + x) / 2",
 }
 
 assert set(_KEYS) == {f.name for f in fields(RunConfig)}
@@ -304,21 +303,14 @@ def parse_config(path: Union[str, Path]) -> RunConfig:
                 )
             values[key] = _convert(key, kind, raw_value, line_no)
         elif default is _GEOMETRY:
-            geometry = _GEOMETRY_DEFAULTS.get(model_raw)
-            if geometry is None:
-                raise ConfigError(
-                    f"a custom model must set {key!r} explicitly "
-                    "(no geometry defaults exist for it)"
-                )
-            values[key] = geometry[key]
+            values[key] = _GEOMETRY_DEFAULTS[model_raw][key]
         elif default is _REQUIRED:
             raise ConfigError(f"the {key!r} key is required")
         else:
             values[key] = default
 
     cfg = RunConfig(**values)
-    if cfg.model != "custom":
-        cfg.build_model()  # surfaces model-parameter validation errors now
+    cfg.build_model()  # surfaces model-parameter validation errors now
     return cfg
 
 

@@ -31,6 +31,7 @@ from .models import ModelSpec
 __all__ = [
     "Ensemble",
     "TrajectorySet",
+    "Flow",
     "IterationReport",
     "SweepOptions",
     "EquilibriumResult",
@@ -38,7 +39,6 @@ __all__ = [
     "make_noise",
     "initial_controls",
     "init_ensemble",
-    "step_sde",
     "simulate_initial",
     "sweep_best_reply",
     "run_to_equilibrium",
@@ -48,8 +48,6 @@ __all__ = [
     "max_greedy_gap",
     "graded_joint_moments",
     "time_averaged_moments",
-    "mass_series",
-    "population_series",
     "run_two_phase",
 ]
 
@@ -114,6 +112,31 @@ class TrajectorySet:
 
 
 @dataclass(frozen=True)
+class Flow:
+    """Per-step population flow of a trajectory set.
+
+    ``mass`` and ``first_moment`` (the raw integral of the position) hold one
+    entry per time index 0..n_steps, ``mean_control`` (the raw integral of
+    the control) one per decision step 0..n_steps-1. Each entry is an axis-0
+    sum over all particles with the absorbed ones masked to zero, so it does
+    not depend on BLAS or the CPU.
+    """
+
+    mass: np.ndarray
+    first_moment: np.ndarray
+    mean_control: np.ndarray
+
+    @classmethod
+    def of(cls, traj: TrajectorySet) -> Flow:
+        # one full-size product at a time keeps the peak at one float array
+        active = traj.exit_step[:, None] > np.arange(traj.n_steps + 1)[None, :]
+        mass = active.sum(axis=0) / traj.n_particles
+        first_moment = traj.weight * (traj.x * active).sum(axis=0)
+        mean_control = traj.weight * (traj.alpha * active[:, :-1]).sum(axis=0)
+        return cls(mass=mass, first_moment=first_moment, mean_control=mean_control)
+
+
+@dataclass(frozen=True)
 class IterationReport:
     """Outcome of one best-reply sweep."""
 
@@ -166,21 +189,6 @@ class TwoPhaseResult:
     def converged(self) -> bool:
         phase1_ok = self.phase1 is None or self.phase1.converged
         return phase1_ok and self.phase2.converged
-
-
-class _LiveStats:
-    """Mutable view of per-step measure summaries handed to model hooks."""
-
-    __slots__ = ("mass", "first_moment", "x", "w")
-
-    def __init__(self, mass: float, first_moment: float, x: np.ndarray, w: np.ndarray):
-        self.mass = mass
-        self.first_moment = first_moment
-        self.x = x
-        self.w = w
-
-
-_EMPTY = np.empty(0)
 
 
 # --------------------------------------------------------------------------
@@ -271,28 +279,6 @@ def init_ensemble(
 # --------------------------------------------------------------------------
 
 
-def step_sde(
-    x: float,
-    drift_value: float,
-    sigma: float,
-    dt: float,
-    noise: float,
-    domain: tuple[float, float],
-) -> tuple[float, bool]:
-    """One Euler step x' = x + drift*dt + 2*sqrt(sigma)*sqrt(dt)*noise.
-
-    Crossing (or landing on) a boundary absorbs the particle: the position is
-    clamped to the crossed boundary point and the exited flag is returned.
-    """
-    lo, hi = domain
-    x_new = x + drift_value * dt + 2.0 * math.sqrt(sigma) * math.sqrt(dt) * noise
-    if x_new <= lo:
-        return lo, True
-    if x_new >= hi:
-        return hi, True
-    return x_new, False
-
-
 def simulate_controls(
     x0: np.ndarray,
     weight: float,
@@ -303,9 +289,12 @@ def simulate_controls(
 ) -> TrajectorySet:
     """Forward simulation with a frozen per-particle, per-step control matrix.
 
-    Drifts that depend on the mean control use the step-start value over the
-    currently active particles. Stored controls are zero from a particle's
-    exit step onward, matching what the sweeps maintain.
+    Each step is the Euler step x' = x + drift*dt + 2*sqrt(sigma*dt)*noise;
+    crossing or landing on a boundary absorbs the particle, clamped to the
+    crossed boundary point. Drifts that depend on the mean control use the
+    step-start value over the currently active particles. Stored controls
+    are zero from a particle's exit step onward, matching what the sweeps
+    maintain.
     """
     n, n_steps = controls.shape
     w = weight
@@ -318,22 +307,15 @@ def simulate_controls(
     active = np.ones(n, dtype=bool)
     x_hist[:, 0] = cur
     for step in range(n_steps):
-        t_n = step * dt
         idx = np.nonzero(active)[0]
         if idx.size:
             a_act = controls[idx, step]
             a_hist[idx, step] = a_act
-            if model.drift_base_is_zero:
-                base = 0.0
-            else:
-                stats = _LiveStats(w * idx.size, w * float(cur[idx].sum()),
-                                   cur[idx], np.full(idx.size, w))
-                base = model.drift_base(t_n, cur[idx], stats)
             if model.state_gain_is_zero:
                 gain = 0.0
             else:
                 gain = model.state_gain(w * float(a_act.sum()))
-            drift = base + gain * cur[idx] + a_act
+            drift = gain * cur[idx] + a_act
             x_new = cur[idx] + drift * dt + noise_scale * xi[idx, step]
             out_lo = x_new <= lo
             out_hi = x_new >= hi
@@ -436,25 +418,6 @@ def time_averaged_moments(traj: TrajectorySet, n_terms: int) -> np.ndarray:
     return graded_joint_moments(xs, alphas, weights, n_terms)
 
 
-def mass_series(traj: TrajectorySet) -> np.ndarray:
-    """Active mass at each time index; exact count / N arithmetic."""
-    counts = (traj.exit_step[:, None] > np.arange(traj.n_steps + 1)[None, :]).sum(axis=0)
-    return counts / traj.n_particles
-
-
-def population_series(traj: TrajectorySet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mass, first moment, center of mass) at each time index.
-
-    The center of mass is NaN wherever the remaining mass is zero.
-    """
-    active = traj.exit_step[:, None] > np.arange(traj.n_steps + 1)[None, :]
-    mass = active.sum(axis=0) / traj.n_particles
-    first_moment = traj.weight * (traj.x * active).sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        com = np.where(mass > 0.0, first_moment / mass, np.nan)
-    return mass, first_moment, com
-
-
 # --------------------------------------------------------------------------
 # best-reply sweeps
 # --------------------------------------------------------------------------
@@ -484,11 +447,12 @@ def sweep_best_reply(
 
     Each particle is visited at most once per step, so everything a decision
     reads about its own particle is fixed when the step starts; only the
-    running mass, first moment and mean-control sums carry from one decision
-    to the next. The step's columns are therefore gathered in visit order
+    running first-moment and mean-control sums carry from one decision to
+    the next. The step's columns are therefore gathered in visit order
     once, the decisions run on plain floats, and the results are scattered
     back once. The model's ``state_cost`` is called once per decision under
-    ``post_step`` pricing and ``state_gain`` once per decision unless the
+    ``post_step`` pricing, with the (G,) row of landing positions and the
+    running first moment, and ``state_gain`` once per decision unless the
     model declares it zero.
     """
     n, n_steps = prev.n_particles, prev.n_steps
@@ -497,10 +461,6 @@ def sweep_best_reply(
     lo, hi = model.domain
     post = options.cost_eval == "post_step"
     include_self = options.theta_self == "include"
-    if not model.drift_base_is_zero:
-        raise ValueError(
-            "the sweep needs a drift free of population kernels (drift_base_is_zero)"
-        )
     if post and not model.state_gain_is_zero:
         raise ValueError(
             "post_step cost evaluation needs a drift free of population terms; "
@@ -522,7 +482,6 @@ def sweep_best_reply(
     cur_x = prev.x[:, 0].copy()
     cur_active = np.ones(n, dtype=bool)
     perm_rng = _permutation_stream(seed, phase, sweep_index)
-    stats = _LiveStats(0.0, 0.0, _EMPTY, _EMPTY)
     modifications = 0
 
     for step in range(n_steps):
@@ -531,7 +490,6 @@ def sweep_best_reply(
         prev_alpha_n = prev.alpha[:, step]
         prev_act = prev.exit_step > step
         present = prev_act & cur_active
-        s_mass = w * np.count_nonzero(present)
         s_x = w * float(prev_x_n[present].sum())
         s_alpha = w * float(prev_alpha_n[present].sum())
 
@@ -554,16 +512,13 @@ def sweep_best_reply(
             if seen:
                 s_x += w * (xk - atom)
             else:
-                s_mass += w
                 s_x += w * xk
                 s_alpha += w * own
             theta = s_alpha if include_self else s_alpha - w * own
             s_lin = coef_dt * theta
             # first minimum (strict <), as np.argmin
             if post:
-                stats.mass = s_mass
-                stats.first_moment = s_x
-                state = state_cost(t_n, row, stats).tolist()
+                state = state_cost(t_n, row, s_x).tolist()
                 best = dt * state[0] + q0 + s_lin * a0
                 a_new = a0
                 for c, (q, a) in zip(state[1:], terms):
@@ -720,7 +675,7 @@ def max_greedy_gap(
     coef_dt = dt * model.coupling_coef
     include_self = options.theta_self == "include"
     post = options.cost_eval == "post_step"
-    stats = _LiveStats(0.0, 0.0, _EMPTY, _EMPTY)
+    flow = Flow.of(traj)
     worst = 0.0
     for step in range(traj.n_steps):
         active = np.nonzero(traj.exit_step > step)[0]
@@ -729,31 +684,21 @@ def max_greedy_gap(
         take = active[rng.random(active.size) < sample_fraction]
         if take.size == 0:
             continue
-        t_n = step * dt
-        xs = traj.x[active, step]
-        alphas = traj.alpha[active, step]
-        s_mass = w * active.size
-        s_x = w * float(xs.sum())
-        s_alpha = w * float(alphas.sum())
-        stats.mass = s_mass
-        stats.first_moment = s_x
-        stats.x = xs
-        stats.w = np.full(active.size, w)
-        for k in take:
-            a_k = traj.alpha[k, step]
-            theta = s_alpha if include_self else s_alpha - w * a_k
-            s_lin = coef_dt * theta
-            if post:
-                row = traj.x[k, step] + g * dt
-                cost = dt * model.state_cost(t_n, row, stats) + quad + s_lin * g
-            else:
-                cost = quad + s_lin * g
-            adopted = int(np.searchsorted(g, a_k))
-            if adopted >= g.size or g[adopted] != a_k:
-                raise ValueError("trajectory control is not on the supplied grid")
-            gap = float(cost[adopted] - cost.min())
-            if gap > worst:
-                worst = gap
+        a_k = traj.alpha[take, step]
+        adopted = np.minimum(np.searchsorted(g, a_k), g.size - 1)
+        if not np.array_equal(g[adopted], a_k):
+            raise ValueError("trajectory control is not on the supplied grid")
+        s_alpha = flow.mean_control[step]
+        theta = np.full(take.size, s_alpha) if include_self else s_alpha - w * a_k
+        lin = coef_dt * theta[:, None] * g
+        # one (sampled rows x grid) block per step
+        if post:
+            rows = traj.x[take, step][:, None] + g * dt
+            cost = dt * model.state_cost(step * dt, rows, flow.first_moment[step]) + quad + lin
+        else:
+            cost = quad + lin
+        gaps = cost[np.arange(take.size), adopted] - cost.min(axis=1)
+        worst = max(worst, float(gaps.max()))
     return worst
 
 
@@ -823,26 +768,22 @@ def value_function_trace(
     n, n_steps = traj.n_particles, traj.n_steps
     w, dt = traj.weight, traj.dt
     include_self = options.theta_self == "include"
+    flow = Flow.of(traj)
     u = np.zeros((n, n_steps + 1))
     alive_at_horizon = np.nonzero(traj.exit_step > n_steps)[0]
     final_mass = w * alive_at_horizon.size
     for k in alive_at_horizon:
         u[k, n_steps] = model.terminal_cost(float(traj.x[k, n_steps]), final_mass)
-    stats = _LiveStats(0.0, 0.0, _EMPTY, _EMPTY)
     for step in range(n_steps - 1, -1, -1):
         active = traj.exit_step > step
         if not active.any():
             continue
         xs = traj.x[active, step]
         alphas = traj.alpha[active, step]
-        stats.mass = w * xs.size
-        stats.first_moment = w * float(xs.sum())
-        stats.x = xs
-        stats.w = np.full(xs.size, w)
-        s_alpha = w * float(alphas.sum())
+        s_alpha = flow.mean_control[step]
         theta = s_alpha if include_self else s_alpha - w * alphas
         running = (
-            model.state_cost(step * dt, xs, stats)
+            model.state_cost(step * dt, xs, flow.first_moment[step])
             + model.coupling_coef * alphas * theta
             + model.quad_weight * alphas * alphas
         )

@@ -89,23 +89,6 @@ def center_of_mass(nu: EmpiricalJointMeasure) -> float:
     return first_moment(nu) / m
 
 
-def convolve(q, nu: EmpiricalJointMeasure, x: float) -> float:
-    """(q * nu)(x) = sum_k w_k q(x - x_k) for a bounded kernel q.
-
-    q may be written for array or scalar arguments.
-    """
-    if nu.n_atoms == 0:
-        return 0.0
-    diffs = x - nu.x
-    try:
-        vals = np.asarray(q(diffs), dtype=float)
-        if vals.shape != diffs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(q(d)) for d in diffs])
-    return float(np.dot(nu.w, vals))
-
-
 def monotonicity_check(lagrangian, nu1: EmpiricalJointMeasure, nu2: EmpiricalJointMeasure, t: float) -> float:
     """Signed integral of the Lagrangian increment against nu1 - nu2.
 

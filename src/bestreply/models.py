@@ -3,14 +3,14 @@
 Both shipped models share one structural family, which is also the family the
 engine's fast path exploits:
 
-    drift(t, x, a; mu)      = drift_base(t, x; m) + state_gain(theta(mu)) * x + a
-    lagrangian(t, x, a; mu) = state_cost(t, x; m) + coupling_coef * a * theta(mu)
-                              + quad_weight * a^2
+    drift(t, x, a; mu)      = state_gain(theta(mu)) * x + a
+    lagrangian(t, x, a; mu) = state_cost(t, x, first_moment(mu))
+                              + coupling_coef * a * theta(mu) + quad_weight * a^2
 
-where m is the state marginal of the joint measure mu and theta is its mean
-control. ``ModelSpec`` carries the structured pieces (vectorized over
-positions) together with the scalar ``drift``/``lagrangian`` closures that
-evaluate them against an explicit measure.
+where first_moment(mu) is the raw integral of the position against the live
+measure and theta(mu) its mean control. ``ModelSpec`` carries the structured
+pieces together with the scalar ``lagrangian`` closure that evaluates them
+against an explicit measure.
 """
 
 from __future__ import annotations
@@ -21,51 +21,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import EmpiricalJointMeasure, theta, total_mass
+from .measures import EmpiricalJointMeasure, first_moment, theta
 
 __all__ = [
-    "StepStats",
     "ModelSpec",
     "EvacuationParams",
     "RefinancingParams",
     "evacuation_lagrangian",
-    "evacuation_drift",
     "refinancing_lagrangian",
-    "refinancing_drift",
     "evacuation_model",
     "refinancing_model",
 ]
-
-
-@dataclass(frozen=True)
-class StepStats:
-    """State-marginal summaries a model needs at one time step.
-
-    ``mass`` and ``first_moment`` are the raw (un-normalized) moments of the
-    active atoms; ``x`` and ``w`` expose the atoms themselves for convolution
-    terms. The mean control is deliberately absent: it changes within a sweep
-    step and is threaded separately.
-    """
-
-    mass: float
-    first_moment: float
-    x: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def from_measure(cls, nu: EmpiricalJointMeasure) -> "StepStats":
-        return cls(
-            mass=total_mass(nu),
-            first_moment=float(np.dot(nu.w, nu.x)),
-            x=nu.x,
-            w=nu.w,
-        )
-
-    @classmethod
-    def from_atoms(cls, x: np.ndarray, w: np.ndarray) -> "StepStats":
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return cls(mass=float(w.sum()), first_moment=float(np.dot(w, x)), x=x, w=w)
 
 
 def _zero_terminal(x: float, mass: float) -> float:
@@ -76,11 +42,13 @@ def _zero_terminal(x: float, mass: float) -> float:
 class ModelSpec:
     """Everything the engine needs to simulate and cost one model.
 
-    ``state_cost`` and ``drift_base`` are vectorized over query positions and
-    receive the per-step :class:`StepStats`; ``state_gain`` maps the mean
-    control to the multiplier on x in the drift (identically zero for models
-    whose drift ignores the mean control, signalled by ``state_gain_is_zero``
-    so lookahead cost tables can be precomputed).
+    ``state_cost(t, xq, first_moment)`` prices query positions against the
+    population's raw first moment and broadcasts like numpy arithmetic: a
+    row of positions with a scalar moment, or an (m, G) block with an (m, 1)
+    column of moments. ``state_gain`` maps the mean control to the
+    multiplier on x in the drift (identically zero for models whose drift
+    ignores the mean control, signalled by ``state_gain_is_zero`` so
+    lookahead cost tables can be precomputed).
     """
 
     name: str
@@ -89,13 +57,10 @@ class ModelSpec:
     control_bounds: tuple[float, float]
     quad_weight: float
     coupling_coef: float
-    state_cost: Callable[[float, np.ndarray, StepStats], np.ndarray]
-    drift_base: Callable[[float, np.ndarray, StepStats], np.ndarray]
+    state_cost: Callable[[float, np.ndarray, object], np.ndarray]
     state_gain: Callable[[float], float]
     state_gain_is_zero: bool
-    drift_base_is_zero: bool
     terminal_cost: Callable[[float, float], float]
-    summaries: tuple[str, ...]
     initial_density: Callable[[np.ndarray], np.ndarray]
     params: object
 
@@ -111,19 +76,10 @@ class ModelSpec:
 
     # -- measure-facing closures (the generic contract) ---------------------
 
-    def stats_from_measure(self, mu: EmpiricalJointMeasure) -> StepStats:
-        return StepStats.from_measure(mu)
-
-    def drift(self, t: float, x: float, alpha: float, mu: EmpiricalJointMeasure) -> float:
-        stats = StepStats.from_measure(mu)
-        base = float(self.drift_base(t, np.asarray([x], dtype=float), stats)[0])
-        return base + self.state_gain(theta(mu)) * x + alpha
-
     def lagrangian(
         self, t: float, x: float, alpha: float, mu: EmpiricalJointMeasure
     ) -> float:
-        stats = StepStats.from_measure(mu)
-        state = float(self.state_cost(t, np.asarray([x], dtype=float), stats)[0])
+        state = float(self.state_cost(t, np.asarray([x], dtype=float), first_moment(mu))[0])
         return state + self.interaction(t, x, alpha, mu) + self.quad_weight * alpha * alpha
 
     def interaction(
@@ -140,18 +96,16 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class EvacuationParams:
-    """Congestion-and-alignment cost with optional interaction kernel.
+    """Congestion-and-alignment cost.
 
     The running cost is eta / (|first_moment - x| + softening)
-    + beta * a * theta + eps * a^2; the drift is (kernel * m)(x) + a, with a
-    zero kernel by default.
+    + beta * a * theta + eps * a^2; the drift is the control a alone.
     """
 
     eta: float = 4.0
     beta: float = 1.0
     eps: float = 0.5
     softening: float = 0.2
-    kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.eta < 0.0 or self.beta < 0.0 or self.eps < 0.0:
@@ -160,19 +114,8 @@ class EvacuationParams:
             raise ValueError("softening must be positive")
 
 
-def _evac_state_cost(params: EvacuationParams, xq: np.ndarray, first_moment: float) -> np.ndarray:
-    return params.eta / (np.abs(first_moment - xq) + params.softening)
-
-
-def _kernel_convolution(
-    kernel: Optional[Callable[[np.ndarray], np.ndarray]],
-    xq: np.ndarray,
-    stats: StepStats,
-) -> np.ndarray:
-    if kernel is None or stats.x.size == 0:
-        return np.zeros_like(xq)
-    diffs = xq[:, None] - stats.x[None, :]
-    return np.asarray(kernel(diffs), dtype=float) @ stats.w
+def _evac_state_cost(params: EvacuationParams, xq: np.ndarray, fm) -> np.ndarray:
+    return params.eta / (np.abs(fm - xq) + params.softening)
 
 
 def evacuation_lagrangian(
@@ -180,18 +123,9 @@ def evacuation_lagrangian(
 ) -> float:
     """Congestion around the population's first moment plus alignment and
     quadratic control costs."""
-    fm = float(np.dot(mu.w, mu.x))
-    congestion = float(_evac_state_cost(params, np.asarray([x], dtype=float), fm)[0])
+    xq = np.asarray([x], dtype=float)
+    congestion = float(_evac_state_cost(params, xq, first_moment(mu))[0])
     return congestion + params.beta * alpha * theta(mu) + params.eps * alpha * alpha
-
-
-def evacuation_drift(
-    t: float, x: float, alpha: float, mu: EmpiricalJointMeasure, params: EvacuationParams
-) -> float:
-    """Kernel-smoothed population pull plus the agent's own control."""
-    stats = StepStats.from_measure(mu)
-    conv = float(_kernel_convolution(params.kernel, np.asarray([x], dtype=float), stats)[0])
-    return conv + alpha
 
 
 def _evacuation_initial_density(x: np.ndarray) -> np.ndarray:
@@ -208,9 +142,6 @@ def evacuation_model(
 ) -> ModelSpec:
     """Bind evacuation parameters into the engine-facing model interface."""
     p = params if params is not None else EvacuationParams()
-    summaries = ("total_mass", "first_moment", "theta")
-    if p.kernel is not None:
-        summaries = summaries + ("convolution",)
     return ModelSpec(
         name="evacuation",
         diffusion=sigma,
@@ -218,13 +149,10 @@ def evacuation_model(
         control_bounds=control_bounds,
         quad_weight=p.eps,
         coupling_coef=p.beta,
-        state_cost=lambda t, xq, stats: _evac_state_cost(p, xq, stats.first_moment),
-        drift_base=lambda t, xq, stats: _kernel_convolution(p.kernel, xq, stats),
+        state_cost=lambda t, xq, fm: _evac_state_cost(p, xq, fm),
         state_gain=lambda th: 0.0,
         state_gain_is_zero=True,
-        drift_base_is_zero=p.kernel is None,
         terminal_cost=_zero_terminal,
-        summaries=summaries,
         initial_density=_evacuation_initial_density,
         params=p,
     )
@@ -276,13 +204,6 @@ def refinancing_lagrangian(
     return state + params.M1 * alpha * theta(mu) + params.eps * alpha * alpha
 
 
-def refinancing_drift(
-    t: float, x: float, alpha: float, mu: EmpiricalJointMeasure, params: RefinancingParams
-) -> float:
-    """Debt compounding at the mean-control-dependent rate plus the control."""
-    return (1.0 + params.rho(theta(mu))) * x + alpha
-
-
 def _refinancing_initial_density(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return np.where((x > -0.5) & (x < 0.5), 1.0, 0.0)
@@ -304,13 +225,10 @@ def refinancing_model(
         control_bounds=control_bounds,
         quad_weight=p.eps,
         coupling_coef=p.M1,
-        state_cost=lambda t, xq, stats: np.asarray(p.ell(t, xq), dtype=float) * np.ones_like(xq),
-        drift_base=lambda t, xq, stats: np.zeros_like(xq),
+        state_cost=lambda t, xq, fm: np.asarray(p.ell(t, xq), dtype=float) * np.ones_like(xq),
         state_gain=lambda th: 1.0 + p.rho(th),
         state_gain_is_zero=False,
-        drift_base_is_zero=True,
         terminal_cost=_zero_terminal,
-        summaries=("total_mass", "theta"),
         initial_density=_refinancing_initial_density,
         params=p,
     )

@@ -14,7 +14,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .config import RunConfig, format_config
-from .engine import TwoPhaseResult, population_series, value_function_trace
+from .engine import Flow, TwoPhaseResult, value_function_trace
 from .kernels import ShapeKernel
 
 __all__ = ["format_float", "write_outputs"]
@@ -60,7 +60,10 @@ def write_outputs(config: RunConfig, outcome: TwoPhaseResult, out_dir: Union[str
     traj = outcome.phase2.trajectories
     dt = config.dt
 
-    mass, first_moment, center = population_series(traj)
+    flow = Flow.of(traj)
+    mass, first_moment = flow.mass, flow.first_moment
+    with np.errstate(invalid="ignore", divide="ignore"):
+        center = np.where(mass > 0.0, first_moment / mass, np.nan)
     _write_csv(
         out / "mass.csv",
         "t,total_mass,first_moment,center_of_mass",

@@ -23,7 +23,7 @@ from bestreply.controls import (
     validate_parameters,
 )
 from bestreply.engine import (
-    mass_series,
+    Flow,
     run_two_phase,
     value_function_trace,
     verify_equilibrium,
@@ -35,6 +35,11 @@ from bestreply.outputs import write_outputs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_MASS_SHA256 = "8f59dd5ce29813a84db7cbeddb56c05d1ce116e1d79bc7411fb527a846f3b77b"
+GOLDEN_VALUE_SHA256 = {
+    "value_x0.6.csv": "a1126b71fefcaee253022a6f1817e162479b49baa285fb6de88d90fc50ca6904",
+    "value_x0.7.csv": "2d3438b6b14a9296356aa0ce9f705ba7533d48688b8f48b25cd27ab4f0b17c22",
+    "value_x0.8.csv": "87778f962f52f0954f6a5f055febd60f858591c101beddbd0d75c2735c3bbd59",
+}
 
 
 def _line(tag: str, ok: bool, detail: str = "") -> None:
@@ -204,7 +209,7 @@ def test_c5_parameter_gates():
 
 def test_c6a_initial_mass_and_center(desk):
     traj = desk.outcome.phase2.trajectories
-    mass0 = float(mass_series(traj)[0])
+    mass0 = float(Flow.of(traj).mass[0])
     center0 = float(traj.x[:, 0].mean())
     _line(
         "6a initial mass and center",
@@ -214,7 +219,7 @@ def test_c6a_initial_mass_and_center(desk):
 
 
 def test_c6b_mass_decay(desk):
-    mass = mass_series(desk.outcome.phase2.trajectories)
+    mass = Flow.of(desk.outcome.phase2.trajectories).mass
     _line(
         "6b mass decay",
         bool(np.all(np.diff(mass) <= 0.0)) and mass[-1] < mass[0],
@@ -308,7 +313,7 @@ def test_c7_determinism(desk, tmp_path):
 def test_c8_refinancing_smoke():
     cfg = parse_config(shipped_config_path("refinancing_default.cfg"))
     run = _run_config(cfg)
-    mass = mass_series(run.outcome.phase2.trajectories)
+    mass = Flow.of(run.outcome.phase2.trajectories).mass
     gates = validate_parameters(
         ControlParams(
             M1=cfg.m1, M2=0.0, eps=cfg.eps,
@@ -348,9 +353,14 @@ def test_golden_desk_regression(desk):
         == (GOLDEN_DIR / "desk_iterations_phase1.csv").read_bytes()
     )
     mass_sha = hashlib.sha256((desk.out / "mass.csv").read_bytes()).hexdigest()
+    value_mismatch = sorted(
+        name for name, digest in GOLDEN_VALUE_SHA256.items()
+        if hashlib.sha256((desk.out / name).read_bytes()).hexdigest() != digest
+    )
     _line(
         "golden regression",
-        iterations_ok and phase1_ok and mass_sha == GOLDEN_MASS_SHA256,
+        iterations_ok and phase1_ok and mass_sha == GOLDEN_MASS_SHA256 and not value_mismatch,
         f"iteration logs verbatim: {iterations_ok and phase1_ok}, "
-        f"mass sha256 {'match' if mass_sha == GOLDEN_MASS_SHA256 else mass_sha}",
+        f"mass sha256 {'match' if mass_sha == GOLDEN_MASS_SHA256 else mass_sha}, "
+        f"value sha256 mismatches {value_mismatch}",
     )

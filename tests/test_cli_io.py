@@ -1,5 +1,8 @@
 import filecmp
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,8 +93,6 @@ def test_refinancing_defaults(tmp_path):
     assert (cfg.control_lo, cfg.control_hi) == (-0.05, 0.05)
     assert cfg.m1 == 0.1
     assert cfg.eps == 0.5
-    assert cfg.rate_choice == "default"
-    assert cfg.state_cost_choice == "default"
 
 
 def test_comments_blank_lines_and_spacing(tmp_path):
@@ -126,7 +127,12 @@ def test_bad_number_is_parse_error_with_line(tmp_path):
         parse_config(path)
 
 
-@pytest.mark.parametrize("key, value", [("workers", "1"), ("sweep_mode", "all_particles_per_step")])
+@pytest.mark.parametrize("key, value", [
+    ("workers", "1"),
+    ("sweep_mode", "all_particles_per_step"),
+    ("rate_choice", "default"),
+    ("state_cost_choice", "default"),
+])
 def test_removed_key_rejected_by_name(tmp_path, key, value):
     path = _write(tmp_path, f"model = evacuation\n{key} = {value}\n")
     with pytest.raises(ConfigError, match="line 2") as exc:
@@ -203,19 +209,6 @@ def test_bad_model_parameter_rejected(tmp_path):
         parse_config(_write(tmp_path, "model = evacuation\neta = -1\n"))
     with pytest.raises(ConfigError, match="eps"):
         parse_config(_write(tmp_path, "model = refinancing\neps = 0\n"))
-
-
-def test_custom_model_parses_but_needs_explicit_geometry(tmp_path):
-    with pytest.raises(ConfigError, match="custom"):
-        parse_config(_write(tmp_path, "model = custom\n"))
-    text = (
-        "model = custom\ndomain_lo = 0\ndomain_hi = 1\n"
-        "control_lo = -1\ncontrol_hi = 1\n"
-    )
-    cfg = parse_config(_write(tmp_path, text))
-    assert cfg.model == "custom"
-    with pytest.raises(ConfigError, match="custom"):
-        cfg.build_model()
 
 
 def test_boolean_and_list_values(tmp_path):
@@ -483,6 +476,21 @@ def test_cli_run_out_of_range_seed_override_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "dt = 1e-300",
+    "T = 1e300",
+    "n_particles = 100000000",
+])
+def test_cli_run_oversized_run_refused_at_parse(tmp_path, capsys, line):
+    # refused before any trajectory array is allocated
+    cfg_path = _write(tmp_path, f"model = evacuation\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run too large:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_run_nan_parameter_exits_1(tmp_path, capsys):
     cfg_path = _mini_evacuation(tmp_path, eta="nan")
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
@@ -495,6 +503,25 @@ def test_cli_run_unwritable_out_exits_3(tmp_path):
     blocker.write_text("file, not a directory\n")
     rc = main(["run", "--config", str(cfg_path), "--out", str(blocker / "sub")])
     assert rc == 3
+
+
+def test_cli_run_artifacts_independent_of_blas_threads(tmp_path):
+    cfg_path = _mini_evacuation(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "bestreply.cli", "run", "--config", str(cfg_path),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        names = sorted(p.name for p in out.glob("*.csv")) + ["manifest.txt"]
+        digests.append({name: (out / name).read_bytes() for name in names})
+    assert len(digests[0]) > 5
+    assert digests[0] == digests[1]
 
 
 def test_cli_validate_shipped_configs_pass(capsys):

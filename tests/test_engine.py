@@ -4,20 +4,19 @@ import pytest
 from bestreply.controls import ControlGrid
 from bestreply.engine import (
     EquilibriumResult,
+    Flow,
     SweepOptions,
     TrajectorySet,
     graded_joint_moments,
     init_ensemble,
     initial_controls,
     make_noise,
-    mass_series,
     max_greedy_gap,
     prune_control_set,
     run_to_equilibrium,
     run_two_phase,
     simulate_controls,
     simulate_initial,
-    step_sde,
     sweep_best_reply,
     time_averaged_moments,
     value_function_trace,
@@ -51,40 +50,44 @@ def _constant_cost_model(rate=20.0):
         control_bounds=(-0.2, 0.2),
         quad_weight=0.0,
         coupling_coef=0.0,
-        state_cost=lambda t, xq, stats: np.full_like(xq, rate),
-        drift_base=lambda t, xq, stats: np.zeros_like(xq),
+        state_cost=lambda t, xq, fm: np.full_like(xq, rate),
         state_gain=lambda th: 0.0,
         state_gain_is_zero=True,
-        drift_base_is_zero=True,
         terminal_cost=lambda x, m: 0.0,
-        summaries=(),
         initial_density=lambda x: np.ones_like(x),
         params=None,
     )
 
 
-# ------------------------------------------------------------------ step_sde
+# ----------------------------------------------- one Euler step (the SDE step)
+
+def _one_step(x0, control, dt):
+    # one particle, zero noise: the evacuation drift is the control alone
+    traj = simulate_controls(np.array([x0]), 1.0, np.array([[control]]),
+                             _noninteracting(), np.zeros((1, 1)), dt)
+    return traj.x[0, 1], bool(traj.exit_step[0] == 1)
+
 
 def test_step_sde_paper_scale_step():
-    x_new, exited = step_sde(0.5, 0.2, 0.0, 0.004, 0.0, (0.0, 1.0))
+    x_new, exited = _one_step(0.5, 0.2, 0.004)
     assert x_new == pytest.approx(0.5008, rel=1e-15)
     assert not exited
 
 
 def test_step_sde_crossing_clamps_and_exits():
-    x_new, exited = step_sde(0.95, 0.2, 0.0, 0.5, 0.0, (0.0, 1.0))
+    x_new, exited = _one_step(0.95, 0.2, 0.5)
     assert x_new == 1.0
     assert exited
 
 
 def test_step_sde_no_drift_no_noise():
-    x_new, exited = step_sde(0.4, 0.0, 0.0, 0.01, 0.0, (0.0, 1.0))
+    x_new, exited = _one_step(0.4, 0.0, 0.01)
     assert x_new == 0.4
     assert not exited
 
 
 def test_step_sde_lower_exit():
-    x_new, exited = step_sde(0.01, -0.2, 0.0, 0.5, 0.0, (0.0, 1.0))
+    x_new, exited = _one_step(0.01, -0.2, 0.5)
     assert x_new == 0.0
     assert exited
 
@@ -130,7 +133,7 @@ def test_initial_mass_is_exactly_one():
     ens = init_ensemble(600, model.initial_density, model.domain, _grid11())
     xi = make_noise(0, 0, 600, 50)
     traj = simulate_initial(ens, model, xi, 0.004, 50)
-    mass = mass_series(traj)
+    mass = Flow.of(traj).mass
     assert mass[0] == 1.0
 
 
@@ -200,7 +203,7 @@ def test_evacuation_run_mass_monotone_and_contained():
         options=SweepOptions(cost_eval="post_step"),
     )
     traj = result.trajectories
-    mass = mass_series(traj)
+    mass = Flow.of(traj).mass
     assert np.all(np.diff(mass) <= 0.0)
     for n in range(0, traj.n_steps + 1, 50):
         active = traj.exit_step > n
@@ -258,20 +261,9 @@ def test_refinancing_smoke_run():
     result = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=250, seed=0,
                                 max_sweeps=10, options=SweepOptions())
     assert result.converged
-    mass = mass_series(result.trajectories)
+    mass = Flow.of(result.trajectories).mass
     assert np.all(np.diff(mass) <= 0.0)
     assert mass[-1] < mass[0]  # compounding debt pushes tails out
-
-
-def test_sweep_rejects_kernel_drift():
-    model = evacuation_model(
-        EvacuationParams(kernel=lambda u: np.exp(-np.square(np.asarray(u, float))))
-    )
-    grid = _grid11()
-    ens = init_ensemble(5, model.initial_density, model.domain, grid)
-    with pytest.raises(ValueError, match="drift_base_is_zero"):
-        run_to_equilibrium(model, grid, ens, dt=0.01, n_steps=10, seed=0,
-                           max_sweeps=1, options=SweepOptions())
 
 
 def test_post_step_lookahead_rejected_for_mean_control_drift():
@@ -284,7 +276,20 @@ def test_post_step_lookahead_rejected_for_mean_control_drift():
                            options=SweepOptions(cost_eval="post_step"))
 
 
-# -------------------------------------------------------------- value traces
+# ---------------------------------------------------------- flow and values
+
+def test_flow_sums_live_particles_only():
+    traj = TrajectorySet(
+        x=np.array([[0.5, 0.6, 0.7], [0.2, 0.0, 0.0]]),
+        alpha=np.array([[0.1, -0.2], [0.2, 0.0]]),
+        exit_step=np.array([3, 1]),
+        weight=0.5,
+        dt=0.1,
+    )
+    flow = Flow.of(traj)
+    assert flow.mass.tolist() == [1.0, 0.5, 0.5]
+    assert flow.first_moment.tolist() == [0.5 * (0.5 + 0.2), 0.5 * 0.6, 0.5 * 0.7]
+    assert flow.mean_control.tolist() == [0.5 * (0.1 + 0.2), 0.5 * -0.2]
 
 def test_value_trace_backward_recursion_constant_cost():
     model = _constant_cost_model(20.0)
@@ -407,7 +412,7 @@ def test_two_phase_pipeline_smoke():
     assert result.grid_pruned.n_points <= grid.n_points
     assert result.grid_pruned.n_points >= 2
     assert set(result.grid_pruned.points.tolist()) <= set(grid.points.tolist())
-    mass = mass_series(result.phase2.trajectories)
+    mass = Flow.of(result.phase2.trajectories).mass
     assert mass[0] == 1.0
     assert np.all(np.diff(mass) <= 0.0)
 

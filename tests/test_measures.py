@@ -5,7 +5,6 @@ from bestreply.kernels import WeakStarMetricConfig, weak_star_distance
 from bestreply.measures import (
     EmpiricalJointMeasure,
     center_of_mass,
-    convolve,
     first_moment,
     fixed_point_residual,
     monotonicity_check,
@@ -117,30 +116,6 @@ def test_center_of_mass_empty_population_errors():
     nu = measure([], [], [])
     with pytest.raises(ValueError):
         center_of_mass(nu)
-
-
-# ----------------------------------------------------------------- convolve
-
-def test_convolve_constant_one_gives_mass():
-    nu = measure([0.2, 0.9], [0.0, 0.0], [0.3, 0.4])
-    assert convolve(lambda z: np.ones_like(z), nu, 0.5) == pytest.approx(0.7, rel=1e-15)
-
-
-def test_convolve_zero_kernel():
-    nu = measure([0.2, 0.9], [0.0, 0.0], [0.3, 0.4])
-    assert convolve(lambda z: np.zeros_like(z), nu, 0.5) == 0.0
-
-
-def test_convolve_quadratic_kernel():
-    nu = measure([0.5], [0.0], [1.0])
-    assert convolve(lambda z: z**2, nu, 0.7) == pytest.approx(0.04, rel=1e-12)
-
-
-def test_convolve_scalar_kernel_function():
-    # kernels written for scalar arguments work too
-    nu = measure([0.5, 0.6], [0.0, 0.0], [0.5, 0.5])
-    want = 0.5 * abs(0.7 - 0.5) + 0.5 * abs(0.7 - 0.6)
-    assert convolve(lambda z: abs(z), nu, 0.7) == pytest.approx(want, rel=1e-12)
 
 
 # ------------------------------------------------------------- monotonicity

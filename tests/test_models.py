@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from bestreply.controls import ControlParams, validate_parameters
+from bestreply.engine import simulate_controls
 from bestreply.measures import (
     EmpiricalJointMeasure,
-    convolve,
+    first_moment,
     monotonicity_check,
     theta,
 )
 from bestreply.models import (
     EvacuationParams,
-    ModelSpec,
     RefinancingParams,
-    evacuation_drift,
     evacuation_lagrangian,
     evacuation_model,
-    refinancing_drift,
     refinancing_lagrangian,
     refinancing_model,
 )
@@ -75,51 +73,31 @@ def test_evacuation_cost_finite_everywhere():
             assert math.isfinite(evacuation_lagrangian(0.0, x, a, mu, params))
 
 
-def test_evacuation_drift_is_control_when_kernel_absent():
-    params = EvacuationParams()
-    mu = _measure([0.6], [0.0], [1.0])
-    assert evacuation_drift(0.0, 0.3, 0.2, mu, params) == 0.2
-    assert evacuation_drift(0.0, 0.3, 0.0, mu, params) == 0.0
-
-
-def test_evacuation_drift_constant_kernel_gives_total_mass():
-    params = EvacuationParams(kernel=lambda u: np.ones_like(np.asarray(u, dtype=float)))
-    mu = _measure([0.2, 0.8], [0.0, 0.0], [0.25, 0.25])
-    out = evacuation_drift(0.0, 0.5, 0.0, mu, params)
-    assert out == pytest.approx(0.5, rel=1e-14)
-
-
-def test_evacuation_drift_matches_measure_convolution():
-    kernel = lambda u: np.exp(-np.square(np.asarray(u, dtype=float)))
-    params = EvacuationParams(kernel=kernel)
-    rng = np.random.default_rng(7)
-    mu = _random_measure(rng)
-    for x in (0.1, 0.5, 0.9):
-        want = convolve(kernel, mu, x) + 0.05
-        got = evacuation_drift(0.0, x, 0.05, mu, params)
-        assert got == pytest.approx(want, rel=1e-13)
-
-
 # ------------------------------------------------------------ refinancing
 
+def _refinancing_drift(params, x0, controls, weight):
+    # one noiseless Euler step: the drift is the displacement over dt
+    dt = 0.004
+    model = refinancing_model(params, sigma=0.0)
+    x0 = np.asarray(x0, dtype=float)
+    traj = simulate_controls(x0, weight, np.asarray(controls, dtype=float)[:, None],
+                             model, np.zeros((x0.size, 1)), dt)
+    return (traj.x[:, 1] - x0) / dt
+
+
 def test_refinancing_drift_zero_rate():
-    params = RefinancingParams(rho=lambda z: 0.0)
-    mu = _measure([0.5], [0.0], [1.0], domain=(-1.0, 1.0), bounds=(-0.05, 0.05))
-    out = refinancing_drift(0.0, 0.5, -0.1, mu, params)
-    assert out == pytest.approx(0.4, rel=1e-14)
+    out = _refinancing_drift(RefinancingParams(rho=lambda z: 0.0), [0.5], [-0.1], 1.0)
+    assert out[0] == pytest.approx(0.4, rel=1e-12)
 
 
 def test_refinancing_drift_at_origin():
-    params = RefinancingParams()
-    mu = _measure([0.5], [0.0], [1.0], domain=(-1.0, 1.0), bounds=(-0.05, 0.05))
-    assert refinancing_drift(0.0, 0.0, 0.0, mu, params) == 0.0
+    assert _refinancing_drift(RefinancingParams(), [0.0], [0.0], 1.0)[0] == 0.0
 
 
 def test_refinancing_drift_identity_rate():
-    params = RefinancingParams(rho=lambda z: z)
-    mu = _measure([0.5], [0.1], [1.0], domain=(-1.0, 1.0), bounds=(-0.2, 0.2))
-    out = refinancing_drift(0.0, 1.0, 0.0, mu, params)
-    assert out == pytest.approx(1.1, rel=1e-14)
+    # the mean control 0.5 * 0.2 = 0.1 scales every particle's state by 1.1
+    out = _refinancing_drift(RefinancingParams(rho=lambda z: z), [0.5, 0.3], [0.0, 0.2], 0.5)
+    assert out[0] == pytest.approx(1.1 * 0.5, rel=1e-12)
 
 
 def test_refinancing_cost_quadratic_only():
@@ -237,7 +215,7 @@ def test_refinancing_defaults_pass_contraction_gates():
 # ----------------------------------------------------- ModelSpec interface
 
 def test_evacuation_spec_matches_free_functions():
-    params = EvacuationParams(kernel=lambda u: np.exp(-np.square(np.asarray(u, float))))
+    params = EvacuationParams()
     model = evacuation_model(params)
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -247,9 +225,6 @@ def test_evacuation_spec_matches_free_functions():
         a = float(rng.uniform(-0.2, 0.2))
         assert model.lagrangian(t, x, a, mu) == pytest.approx(
             evacuation_lagrangian(t, x, a, mu, params), rel=1e-13
-        )
-        assert model.drift(t, x, a, mu) == pytest.approx(
-            evacuation_drift(t, x, a, mu, params), rel=1e-13
         )
 
 
@@ -265,24 +240,32 @@ def test_refinancing_spec_matches_free_functions():
         assert model.lagrangian(t, x, a, mu) == pytest.approx(
             refinancing_lagrangian(t, x, a, mu, params), rel=1e-13
         )
-        assert model.drift(t, x, a, mu) == pytest.approx(
-            refinancing_drift(t, x, a, mu, params), rel=1e-13
-        )
 
 
 def test_vector_hooks_match_scalar_calls():
     model = evacuation_model()
     rng = np.random.default_rng(41)
     mu = _random_measure(rng)
-    stats = model.stats_from_measure(mu)
     xs = rng.uniform(0.0, 1.0, 16)
-    costs = model.state_cost(0.0, xs, stats)
-    base = model.drift_base(0.0, xs, stats)
+    costs = model.state_cost(0.0, xs, first_moment(mu))
     for i, x in enumerate(xs):
         want = evacuation_lagrangian(0.0, float(x), 0.0, mu, model.params)
         # alpha = 0 kills the coupling and quadratic terms
         assert costs[i] == pytest.approx(want, rel=1e-13)
-        assert base[i] == 0.0
+
+
+@pytest.mark.parametrize("model", [evacuation_model(), refinancing_model()], ids=lambda m: m.name)
+def test_state_cost_block_matches_row_calls(model):
+    # an (m, G) block with an (m, 1) first-moment column prices every row
+    # exactly as m separate (G,) row calls with scalar moments do
+    rng = np.random.default_rng(43)
+    lo, hi = model.domain
+    block = rng.uniform(lo, hi, (7, 11))
+    moments = rng.uniform(lo, hi, (7, 1))
+    priced = model.state_cost(0.3, block, moments)
+    assert priced.shape == block.shape
+    for row, fm, got in zip(block, moments[:, 0].tolist(), priced):
+        assert got.tobytes() == np.asarray(model.state_cost(0.3, row, fm), dtype=float).tobytes()
 
 
 def test_state_gain_flags():

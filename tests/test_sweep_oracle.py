@@ -9,7 +9,6 @@ and requires the engine to reproduce the reference bit for bit.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -58,7 +57,6 @@ def reference_sweep(prev, model, grid, *, seed, phase, sweep_index, xi, options)
     perm_rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, tag], dtype=np.uint64))
     )
-    stats = SimpleNamespace(mass=0.0, first_moment=0.0, x=np.empty(0), w=np.empty(0))
     modifications = 0
 
     for step in range(n_steps):
@@ -90,9 +88,7 @@ def reference_sweep(prev, model, grid, *, seed, phase, sweep_index, xi, options)
             theta = s_alpha if include_self else s_alpha - w * own_alpha[k]
             s_lin = coef_dt * theta
             if post:
-                stats.mass = s_mass
-                stats.first_moment = s_x
-                cost = dt * model.state_cost(t_n, lookahead[k], stats) + quad + s_lin * g
+                cost = dt * model.state_cost(t_n, lookahead[k], s_x) + quad + s_lin * g
             else:
                 cost = quad + s_lin * g
             a_new = g[int(np.argmin(cost))]
