@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .config import RunConfig, parse_config
 from .controls import ControlGrid
 from .engine import SweepOptions, run_to_equilibrium, run_two_phase
-from .kernels import ShapeKernel, WeakStarMetricConfig, lambert_w0, weak_star_distance
+from .kernels import ShapeKernel, lambert_w0
 from .models import evacuation_model, refinancing_model
 from .outputs import write_outputs
 
@@ -19,14 +19,12 @@ __all__ = [
     "RunConfig",
     "ShapeKernel",
     "SweepOptions",
-    "WeakStarMetricConfig",
     "evacuation_model",
     "lambert_w0",
     "parse_config",
     "refinancing_model",
     "run_to_equilibrium",
     "run_two_phase",
-    "weak_star_distance",
     "write_outputs",
     "__version__",
 ]

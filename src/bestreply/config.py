@@ -114,6 +114,13 @@ class RunConfig:
                 f"run too large: {particles} particles x {ratio + 1.0:.6g} time points "
                 f"= {cells:.3g} trajectory cells, above the limit of {_MAX_TRAJECTORY_CELLS:.3g}"
             )
+        # each step prices a (particles, n_alpha) block of controls
+        if not particles * self.n_alpha <= _MAX_TRAJECTORY_CELLS:
+            raise ConfigError(
+                f"run too large: {particles} particles x {self.n_alpha} controls "
+                f"= {particles * self.n_alpha:.3g} cost cells, above the limit of "
+                f"{_MAX_TRAJECTORY_CELLS:.3g}"
+            )
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("T must be an integer multiple of dt (within 1e-9)")
         if self.n_alpha < 2:

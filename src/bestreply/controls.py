@@ -1,17 +1,16 @@
 """Discrete best responses, feedback-control formulas, and contraction checks.
 
 This module owns everything about the control side of the solver: the finite
-control grids the particle scheme searches over, exhaustive best-response
-selection on those grids, closed-form feedback laws for the linear and
-exponential interaction couplings, and the parameter gates that certify the
-best-reply iteration is a contraction.
+control grids the particle scheme searches over, closed-form feedback laws
+for the linear and exponential interaction couplings, and the parameter
+gates that certify the best-reply iteration is a contraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "ControlParams",
     "GateReport",
     "ControlCrossCheck",
-    "best_response_discrete",
-    "linear_control",
     "linear_control_closed_loop",
     "solve_alignment_equation",
     "exponential_control_closed_form",
@@ -74,11 +71,6 @@ class ControlGrid:
     def n_points(self) -> int:
         return int(self.points.size)
 
-    @property
-    def spacing(self) -> float:
-        """Nominal step between neighbours (exact only for uniform grids)."""
-        return (self.hi - self.lo) / (self.n_points - 1)
-
     def subset(self, indices) -> "ControlGrid":
         """Grid restricted to the given indices (order preserved)."""
         return ControlGrid(points=self.points[np.asarray(indices)])
@@ -119,39 +111,8 @@ class ControlParams:
 
 
 # --------------------------------------------------------------------------
-# best responses on a finite grid
+# linear coupling: explicit feedback law
 # --------------------------------------------------------------------------
-
-
-def best_response_discrete(costs: Sequence[tuple[float, float]]) -> float:
-    """Control attaining the smallest cost in an explicit (control, cost) table.
-
-    Ties resolve to the entry appearing first, so on an ascending grid the
-    smallest control wins. Raises ValueError on an empty table or any
-    non-finite cost.
-    """
-    if not costs:
-        raise ValueError("cannot take a best response over an empty control set")
-    best_control = None
-    best_cost = math.inf
-    for control, cost in costs:
-        c = float(cost)
-        if not math.isfinite(c):
-            raise ValueError(f"non-finite cost {cost!r} for control {control!r}")
-        if c < best_cost:
-            best_cost = c
-            best_control = control
-    return best_control
-
-
-# --------------------------------------------------------------------------
-# linear coupling: explicit feedback laws
-# --------------------------------------------------------------------------
-
-
-def linear_control(p: float, theta: float, m1: float) -> float:
-    """Pointwise optimal control -p - m1*theta for the linear coupling."""
-    return -p - m1 * theta
 
 
 def linear_control_closed_loop(
@@ -160,9 +121,10 @@ def linear_control_closed_loop(
     """Self-consistent linear feedback over a weighted population.
 
     ``entries`` holds (state, adjoint value, weight) triples. Averaging the
-    pointwise law over the population and solving for the induced mean control
-    gives alpha(x) = -p(x) + m1 * sum(w*p) / (1 + m1 * mass); the total mass
-    may be below one, in which case the interaction is correspondingly weaker.
+    pointwise law alpha = -p - m1*theta over the population and solving for
+    the induced mean control theta gives
+    alpha(x) = -p(x) + m1 * sum(w*p) / (1 + m1 * mass); the total mass may be
+    below one, in which case the interaction is correspondingly weaker.
     """
     if m1 < 0.0:
         raise ValueError("m1 must be non-negative")

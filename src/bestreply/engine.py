@@ -19,13 +19,13 @@ trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .controls import ControlGrid
-from .kernels import WeakStarMetricConfig, weak_star_distance_from_moments
+from .kernels import METRIC_TERMS, weak_star_distance_from_moments
 from .models import ModelSpec
 
 __all__ = [
@@ -107,9 +107,6 @@ class TrajectorySet:
     def n_steps(self) -> int:
         return self.alpha.shape[1]
 
-    def active_mask(self, n: int) -> np.ndarray:
-        return self.exit_step > n
-
 
 @dataclass(frozen=True)
 class Flow:
@@ -160,7 +157,6 @@ class SweepOptions:
     cost_eval: str = "pre_step"
     theta_self: str = "exclude"
     convergence_threshold: float = 0.0
-    metric: WeakStarMetricConfig = field(default_factory=WeakStarMetricConfig)
 
     def __post_init__(self) -> None:
         if self.cost_eval not in ("pre_step", "post_step"):
@@ -279,6 +275,19 @@ def init_ensemble(
 # --------------------------------------------------------------------------
 
 
+def _advance(x, gain, a, noise, dt, lo, hi):
+    """One Euler step with absorption: ``(landed, absorbed_mask)``.
+
+    The landing is x + (gain*x + a)*dt + noise, the drift being gain*x + a;
+    a landing on or past a boundary is clamped to that boundary and marks
+    the particle absorbed.
+    """
+    x_new = x + (gain * x + a) * dt + noise
+    out_lo = x_new <= lo
+    out_hi = x_new >= hi
+    return np.where(out_lo, lo, np.where(out_hi, hi, x_new)), out_lo | out_hi
+
+
 def simulate_controls(
     x0: np.ndarray,
     weight: float,
@@ -289,12 +298,12 @@ def simulate_controls(
 ) -> TrajectorySet:
     """Forward simulation with a frozen per-particle, per-step control matrix.
 
-    Each step is the Euler step x' = x + drift*dt + 2*sqrt(sigma*dt)*noise;
-    crossing or landing on a boundary absorbs the particle, clamped to the
-    crossed boundary point. Drifts that depend on the mean control use the
-    step-start value over the currently active particles. Stored controls
-    are zero from a particle's exit step onward, matching what the sweeps
-    maintain.
+    Each step is the Euler step x' = x + drift*dt + 2*sqrt(sigma*dt)*noise
+    of ``_advance``; crossing or landing on a boundary absorbs the particle,
+    clamped to the crossed boundary point. Drifts that depend on the mean
+    control use the step-start value over the currently active particles.
+    Stored controls are zero from a particle's exit step onward, matching
+    what the sweeps maintain.
     """
     n, n_steps = controls.shape
     w = weight
@@ -315,12 +324,9 @@ def simulate_controls(
                 gain = 0.0
             else:
                 gain = model.state_gain(w * float(a_act.sum()))
-            drift = gain * cur[idx] + a_act
-            x_new = cur[idx] + drift * dt + noise_scale * xi[idx, step]
-            out_lo = x_new <= lo
-            out_hi = x_new >= hi
-            x_new = np.where(out_lo, lo, np.where(out_hi, hi, x_new))
-            exited = out_lo | out_hi
+            x_new, exited = _advance(
+                cur[idx], gain, a_act, noise_scale * xi[idx, step], dt, lo, hi
+            )
             exit_step[idx[exited]] = step + 1
             active[idx[exited]] = False
             cur[idx] = x_new
@@ -433,7 +439,6 @@ def sweep_best_reply(
     sweep_index: int,
     xi: np.ndarray,
     options: SweepOptions,
-    prev_moments: Optional[np.ndarray] = None,
 ) -> tuple[TrajectorySet, IterationReport]:
     """One randomized sequential best-reply pass over the whole horizon.
 
@@ -443,14 +448,15 @@ def sweep_best_reply(
     atom (particles absorbed in the current re-simulation are excluded
     outright). The adopted control is the grid argmin of the one-step cost,
     ties resolving to the smallest grid index; the particle then advances
-    immediately through the dynamics.
+    through the dynamics.
 
     Each particle is visited at most once per step, so everything a decision
     reads about its own particle is fixed when the step starts; only the
     running first-moment and mean-control sums carry from one decision to
     the next. The step's columns are therefore gathered in visit order
-    once, the decisions run on plain floats, and the results are scattered
-    back once. The model's ``state_cost`` is called once per decision under
+    once, the decisions run on plain floats, and the visitors advance
+    together in one ``_advance`` call when the step's last decision is made.
+    The model's ``state_cost`` is called once per decision under
     ``post_step`` pricing, with the (G,) row of landing positions and the
     running first moment, and ``state_gain`` once per decision unless the
     model declares it zero.
@@ -502,12 +508,9 @@ def sweep_best_reply(
         own_v = np.where(seen_v, prev_alpha_n[visits], 0.0)
         rows = x_v[:, None] + g_dt[None, :] if post else [None] * visits.size
         adopted = []
-        landed = []
-        exited = []
-        for k, xk, seen, atom, own, noise, row in zip(
-            visits.tolist(), x_v.tolist(), seen_v.tolist(),
-            prev_x_n[visits].tolist(), own_v.tolist(),
-            (noise_scale * xi[visits, step]).tolist(), rows,
+        gains = []
+        for xk, seen, atom, own, row in zip(
+            x_v.tolist(), seen_v.tolist(), prev_x_n[visits].tolist(), own_v.tolist(), rows,
         ):
             if seen:
                 s_x += w * (xk - atom)
@@ -540,19 +543,20 @@ def sweep_best_reply(
             if not seen or a_new != own:
                 modifications += 1
             s_alpha += w * (a_new - own)
-            gain = 0.0 if state_gain is None else state_gain(s_alpha)
-            x_next = xk + (gain * xk + a_new) * dt + noise
-            if x_next <= lo:
-                x_next = lo
-                exited.append(k)
-            elif x_next >= hi:
-                x_next = hi
-                exited.append(k)
             adopted.append(a_new)
-            landed.append(x_next)
+            if state_gain is not None:
+                gains.append(state_gain(s_alpha))
 
-        new_alpha[visits, step] = adopted
+        # no decision reads a landing position, so the step's visitors all
+        # advance together after the last decision
+        a_v = np.array(adopted)
+        landed, out = _advance(
+            x_v, 0.0 if state_gain is None else np.array(gains), a_v,
+            noise_scale * xi[visits, step], dt, lo, hi,
+        )
+        new_alpha[visits, step] = a_v
         cur_x[visits] = landed
+        exited = visits[out]
         new_exit[exited] = step + 1
         cur_active[exited] = False
         new_x[:, step + 1] = cur_x
@@ -560,16 +564,14 @@ def sweep_best_reply(
     new_traj = TrajectorySet(
         x=new_x, alpha=new_alpha, exit_step=new_exit, weight=w, dt=dt
     )
-    n_terms = options.metric.max_terms
-    if prev_moments is None:
-        prev_moments = (
-            prev.cached_moments
-            if prev.cached_moments is not None
-            else time_averaged_moments(prev, n_terms)
-        )
-    new_moments = time_averaged_moments(new_traj, n_terms)
+    old_moments = (
+        prev.cached_moments
+        if prev.cached_moments is not None
+        else time_averaged_moments(prev, METRIC_TERMS)
+    )
+    new_moments = time_averaged_moments(new_traj, METRIC_TERMS)
     new_traj.cached_moments = new_moments
-    change = weak_star_distance_from_moments(prev_moments, new_moments, options.metric)
+    change = weak_star_distance_from_moments(old_moments, new_moments)
     converged = modifications == 0 or change <= options.convergence_threshold
     report = IterationReport(
         sweep=sweep_index,

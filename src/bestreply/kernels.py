@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,91 +69,52 @@ def lambert_w0(x: float) -> float:
 # shape kernels
 # --------------------------------------------------------------------------
 
-_KERNEL_FAMILIES = ("cubic_bspline", "biweight")
-
-
-def _profile_cubic_bspline(u: np.ndarray) -> np.ndarray:
-    # cubic B-spline rescaled from its native [-2, 2] support onto [-1, 1]
-    v = np.abs(2.0 * u)
-    inner = (2.0 - v) ** 3 - 4.0 * (1.0 - v) ** 3
-    outer = (2.0 - v) ** 3
-    out = np.where(v < 1.0, inner, np.where(v < 2.0, outer, 0.0))
-    return out / 3.0  # (1/6) from the B-spline times the factor 2 rescale
-
-
-def _profile_biweight(u: np.ndarray) -> np.ndarray:
-    t = 1.0 - u * u
-    return np.where(t > 0.0, (15.0 / 16.0) * t * t, 0.0)
-
-
-_PROFILES = {
-    "cubic_bspline": _profile_cubic_bspline,
-    "biweight": _profile_biweight,
-}
-
-
-@lru_cache(maxsize=None)
-def _radial_norm_constant(family: str, dimension: int) -> float:
-    """Normalization making the radial kernel integrate to 1 over R^d."""
-    if dimension == 1:
-        return 1.0  # the 1-d profiles already have unit integral
-    r = np.linspace(0.0, 1.0, 200001)
-    vals = _PROFILES[family](r) * r ** (dimension - 1)
-    radial = float(np.trapezoid(vals, r))
-    surface = 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
-    return 1.0 / (surface * radial)
-
 
 @dataclass(frozen=True)
 class ShapeKernel:
-    """Compactly supported, unit-integral kernel phi with its bandwidth.
+    """Cubic B-spline kernel phi on [-1, 1] with unit integral, and its bandwidth.
 
-    The scaled kernel is phi_eps(x) = phi(x/eps) / eps^d; support of phi is
-    the closed unit ball. In one dimension phi is the named profile itself;
-    in higher dimensions it is the radial extension of that profile,
-    renormalized to unit integral.
+    The scaled kernel is phi_eps(x) = phi(x/eps) / eps.
     """
 
-    family: str = "cubic_bspline"
     bandwidth: float = 0.02
-    dimension: int = 1
 
     def __post_init__(self) -> None:
-        if self.family not in _KERNEL_FAMILIES:
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; choose from {_KERNEL_FAMILIES}"
-            )
         if not self.bandwidth > 0.0:
             raise ValueError("kernel bandwidth must be positive")
-        if self.dimension < 1:
-            raise ValueError("kernel dimension must be a positive integer")
 
     def profile(self, u):
-        """Unscaled kernel phi evaluated at u (scalar or array).
-
-        For dimension > 1, u is interpreted as the radius |x|.
-        """
-        vals = _PROFILES[self.family](np.asarray(u, dtype=float))
-        if self.dimension > 1:
-            vals = vals * _radial_norm_constant(self.family, self.dimension)
+        """Unscaled kernel phi evaluated at u (scalar or array)."""
+        # cubic B-spline rescaled from its native [-2, 2] support onto [-1, 1]
+        v = np.abs(2.0 * np.asarray(u, dtype=float))
+        inner = (2.0 - v) ** 3 - 4.0 * (1.0 - v) ** 3
+        outer = (2.0 - v) ** 3
+        # (1/6) from the B-spline times the factor 2 rescale
+        vals = np.where(v < 1.0, inner, np.where(v < 2.0, outer, 0.0)) / 3.0
         if np.ndim(u) == 0:
             return float(vals)
         return vals
 
     def scaled(self, x):
-        """phi_eps(x) = phi(x/eps) / eps^d at displacement x (scalar or radius)."""
+        """phi_eps(x) = phi(x/eps) / eps at displacement x (scalar or array)."""
         eps = self.bandwidth
-        return self.profile(np.asarray(x, dtype=float) / eps) / eps**self.dimension
+        return self.profile(np.asarray(x, dtype=float) / eps) / eps
 
     def density(self, positions: np.ndarray, weights: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Vectorized 1-d density reconstruction at an array of query points."""
+        """Vectorized density reconstruction at an array of query points.
+
+        Each query's weighted kernel values are summed by numpy's pairwise
+        reduction along the contiguous atom axis, not by BLAS, so the result
+        does not depend on the BLAS library, its thread count or the CPU.
+        """
         positions = np.asarray(positions, dtype=float)
         weights = np.asarray(weights, dtype=float)
         queries = np.asarray(queries, dtype=float)
         if positions.size == 0:
             return np.zeros_like(queries)
-        diffs = queries[:, None] - positions[None, :]
-        return self.scaled(diffs) @ weights
+        vals = self.scaled(queries[:, None] - positions[None, :])
+        vals *= weights
+        return vals.sum(axis=1)
 
 
 def kernel_density(atoms, kernel: ShapeKernel, query) -> float:
@@ -162,14 +122,11 @@ def kernel_density(atoms, kernel: ShapeKernel, query) -> float:
 
     atoms is an iterable of (position, weight) pairs; an empty iterable
     gives 0. Weights must be non-negative for the result to be a density.
+    This is the scalar reference for ShapeKernel.density.
     """
     total = 0.0
     for x, w in atoms:
-        if kernel.dimension == 1:
-            total += w * float(kernel.scaled(query - x))
-        else:
-            r = float(np.linalg.norm(np.asarray(query, dtype=float) - np.asarray(x, dtype=float)))
-            total += w * float(kernel.scaled(r))
+        total += w * float(kernel.scaled(query - x))
     return total
 
 
@@ -177,33 +134,14 @@ def kernel_density(atoms, kernel: ShapeKernel, query) -> float:
 # truncated weak-star metric
 # --------------------------------------------------------------------------
 
-def domain_radius(box) -> float:
-    """sup{|z| : z in box} for a box given as ((lo, hi), ...) per coordinate."""
-    sq = 0.0
-    for lo, hi in box:
-        sq += max(lo * lo, hi * hi)
-    return math.sqrt(sq)
-
-
-@dataclass(frozen=True)
-class WeakStarMetricConfig:
-    """Parameters of the truncated metric d_a over joint measures.
-
-    The basis functions are raw monomials in the joint (state, control)
-    variables, ordered by total degree with the constant function first;
-    within a degree the leading variable's exponent descends. The metric
-    value depends on this (documented) choice of basis.
-    """
-
-    a: float = 2.0
-    max_terms: int = 20
-    domain_box: tuple = ()
-
-    def __post_init__(self) -> None:
-        if not self.a > 1.0:
-            raise ValueError("weak-star weight base a must exceed 1")
-        if self.max_terms < 1:
-            raise ValueError("weak-star truncation needs at least one term")
+# The metric d(m1, m2) = sum_k 2^-k |I_k| / (1 + |I_k|) runs over
+# the differences I_k of the first METRIC_TERMS raw monomial moments of two
+# joint (state, control) measures, ordered by total degree with the constant
+# function first; within a degree the leading variable's exponent descends.
+# The value depends on this basis. The dropped tail is bounded by
+# 2^(1 - METRIC_TERMS).
+_METRIC_BASE = 2.0
+METRIC_TERMS = 20
 
 
 def monomial_exponents(n_vars: int, n_terms: int) -> np.ndarray:
@@ -239,43 +177,16 @@ def monomial_moments(points: np.ndarray, weights: np.ndarray, exponents: np.ndar
     return out
 
 
-def _atoms_of(nu):
-    """Accept either an object with joint_points()/w or a (points, weights) pair."""
-    if hasattr(nu, "joint_points"):
-        return np.atleast_2d(nu.joint_points()), np.asarray(nu.w, dtype=float)
-    points, weights = nu
-    return np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(weights, dtype=float)
+def weak_star_distance_from_moments(m1: np.ndarray, m2: np.ndarray) -> float:
+    """Truncated weak-star distance between two graded moment vectors.
 
-
-def weak_star_distance_from_moments(
-    m1: np.ndarray, m2: np.ndarray, cfg: WeakStarMetricConfig
-) -> float:
-    """Distance computed from two already-evaluated monomial moment vectors.
-
-    Callers that track moment vectors incrementally (the engine's
-    sweep-to-sweep comparison) use this to avoid re-walking atom sets; the
-    vectors must come from the same graded basis as monomial_exponents.
+    The vectors hold the first (at most METRIC_TERMS) moments of the graded
+    basis, as engine.graded_joint_moments or monomial_moments compute them.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
-    if m1.shape != m2.shape or m1.ndim != 1 or m1.size > cfg.max_terms:
-        raise ValueError("moment vectors must share one shape within max_terms")
+    if m1.shape != m2.shape or m1.ndim != 1 or m1.size > METRIC_TERMS:
+        raise ValueError("moment vectors must share one shape within METRIC_TERMS")
     diff = np.abs(m1 - m2)
-    weights = cfg.a ** (-np.arange(1, diff.size + 1, dtype=float))
+    weights = _METRIC_BASE ** (-np.arange(1, diff.size + 1, dtype=float))
     return float(np.sum(weights * diff / (1.0 + diff)))
-
-
-def weak_star_distance(nu1, nu2, cfg: WeakStarMetricConfig) -> float:
-    """Truncated weak-star distance sum_k a^-k |I_k| / (1 + |I_k|).
-
-    I_k is the difference of the k-th monomial moments of the two measures.
-    The sum runs over the first cfg.max_terms basis monomials; the dropped
-    tail is bounded by a^(1 - max_terms) / (a - 1).
-    """
-    p1, w1 = _atoms_of(nu1)
-    p2, w2 = _atoms_of(nu2)
-    n_vars = p1.shape[1] if p1.size else p2.shape[1]
-    exponents = monomial_exponents(n_vars, cfg.max_terms)
-    m1 = monomial_moments(p1, w1, exponents) if w1.size else np.zeros(cfg.max_terms)
-    m2 = monomial_moments(p2, w2, exponents) if w2.size else np.zeros(cfg.max_terms)
-    return weak_star_distance_from_moments(m1, m2, cfg)

@@ -7,7 +7,7 @@ here treats measures as immutable value objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class EmpiricalJointMeasure:
     def n_atoms(self) -> int:
         return self.x.size
 
-    def joint_points(self) -> np.ndarray:
-        """Atoms as rows (x, alpha), the layout the weak-star metric expects."""
-        return np.column_stack([self.x, self.alpha])
-
 
 def theta(nu: EmpiricalJointMeasure) -> float:
     """Mean control of the population, integrated against the raw measure.
@@ -71,22 +67,11 @@ def theta(nu: EmpiricalJointMeasure) -> float:
     return float(np.dot(nu.w, nu.alpha))
 
 
-def total_mass(nu: EmpiricalJointMeasure) -> float:
-    return float(nu.w.sum())
-
-
 def first_moment(nu: EmpiricalJointMeasure) -> float:
     """Un-normalized integral of the position against the measure."""
     if nu.n_atoms == 0:
         return 0.0
     return float(np.dot(nu.w, nu.x))
-
-
-def center_of_mass(nu: EmpiricalJointMeasure) -> float:
-    m = total_mass(nu)
-    if m <= 0.0:
-        raise ValueError("center of mass of an empty population is undefined")
-    return first_moment(nu) / m
 
 
 def monotonicity_check(lagrangian, nu1: EmpiricalJointMeasure, nu2: EmpiricalJointMeasure, t: float) -> float:
@@ -110,15 +95,3 @@ def monotonicity_check(lagrangian, nu1: EmpiricalJointMeasure, nu2: EmpiricalJoi
         value -= float(np.dot(nu2.w, increment(nu2.x, nu2.alpha)))
     return value
 
-
-def fixed_point_residual(mu: EmpiricalJointMeasure, best_response, t: float) -> float:
-    """Max atom-wise gap between carried controls and the best-response map.
-
-    Zero exactly when every atom already plays best_response(t, x_k); this is
-    the discrete Nash certificate the engine reports after its verification
-    sweep.
-    """
-    if mu.n_atoms == 0:
-        return 0.0
-    gaps = [abs(a - best_response(t, x)) for x, a in zip(mu.x, mu.alpha)]
-    return float(max(gaps))

@@ -480,9 +480,11 @@ def test_cli_run_out_of_range_seed_override_exits_1(tmp_path, capsys):
     "dt = 1e-300",
     "T = 1e300",
     "n_particles = 100000000",
+    f"n_alpha = {10**15}",
+    f"n_alpha = {10**22}",
 ])
 def test_cli_run_oversized_run_refused_at_parse(tmp_path, capsys, line):
-    # refused before any trajectory array is allocated
+    # refused before any trajectory or control-grid array is allocated
     cfg_path = _write(tmp_path, f"model = evacuation\n{line}\n")
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 from bestreply.controls import (
     ControlGrid,
     ControlParams,
-    best_response_discrete,
     cross_check_exponential_control,
     exponential_control_closed_form,
-    linear_control,
     linear_control_closed_loop,
     solve_alignment_equation,
     validate_parameters,
 )
+from bestreply.engine import SweepOptions, TrajectorySet, sweep_best_reply
 from bestreply.kernels import lambert_w0
+from bestreply.models import ModelSpec
 
 
 # -------------------------------------------------------------- ControlGrid
@@ -65,31 +65,52 @@ def test_grid_nearest_preserves_shape():
     assert snapped.tolist() == [[0.0, 0.0], [1.0, -1.0]]
 
 
-# ---------------------------------------------------- best_response_discrete
+# -------------------------------------- best responses on a finite grid
+
+def _best_response(costs):
+    """Control the sweep adopts for one decision priced by a (control, cost) table.
+
+    One particle and one step with unit dt, no quadratic or coupling term,
+    and a post-step state cost that returns the table: the scanned cost of
+    each control is exactly its table entry.
+    """
+    grid = ControlGrid(points=np.array([a for a, _ in costs]))
+    table = np.array([c for _, c in costs])
+    model = ModelSpec(
+        name="table",
+        diffusion=0.0,
+        domain=(0.0, 1.0),
+        control_bounds=(grid.lo, grid.hi),
+        quad_weight=0.0,
+        coupling_coef=0.0,
+        state_cost=lambda t, xq, fm: table,
+        state_gain=lambda th: 0.0,
+        state_gain_is_zero=True,
+        terminal_cost=lambda x, m: 0.0,
+        initial_density=lambda x: np.ones_like(x),
+        params=None,
+    )
+    prev = TrajectorySet(x=np.full((1, 2), 0.5), alpha=np.zeros((1, 1)),
+                         exit_step=np.array([2]), weight=1.0, dt=1.0)
+    traj, _ = sweep_best_reply(prev, model, grid, seed=0, phase=0, sweep_index=1,
+                               xi=np.zeros((1, 1)), options=SweepOptions(cost_eval="post_step"))
+    return float(traj.alpha[0, 0])
+
 
 def test_best_response_quadratic_minimum():
     costs = [(-0.2, 0.5 * 0.04), (0.0, 0.0), (0.2, 0.5 * 0.04)]
-    assert best_response_discrete(costs) == 0.0
+    assert _best_response(costs) == 0.0
 
 
 def test_best_response_with_alignment_term():
     # cost(a) = 0.5 a^2 + a on {-0.2, 0, 0.2}: values -0.18, 0, 0.22
     costs = [(a, 0.5 * a * a + a) for a in (-0.2, 0.0, 0.2)]
-    assert best_response_discrete(costs) == -0.2
+    assert _best_response(costs) == -0.2
 
 
 def test_best_response_tie_breaks_to_smallest_index():
     costs = [(-0.2, 1.0), (0.0, 1.0), (0.2, 1.0)]
-    assert best_response_discrete(costs) == -0.2
-
-
-def test_best_response_rejects_empty_and_nonfinite():
-    with pytest.raises(ValueError):
-        best_response_discrete([])
-    with pytest.raises(ValueError):
-        best_response_discrete([(0.0, float("nan"))])
-    with pytest.raises(ValueError):
-        best_response_discrete([(0.0, float("inf"))])
+    assert _best_response(costs) == -0.2
 
 
 def test_best_response_never_beaten_by_any_entry():
@@ -97,7 +118,7 @@ def test_best_response_never_beaten_by_any_entry():
     grid = ControlGrid.uniform(-0.2, 0.2, 9)
     for _ in range(50):
         costs = list(zip(grid.points.tolist(), rng.normal(size=9).tolist()))
-        best = best_response_discrete(costs)
+        best = _best_response(costs)
         best_cost = dict(costs)[best]
         assert all(best_cost <= c for _, c in costs)
 
@@ -110,31 +131,41 @@ def test_best_response_argmin_invariant_to_cost_offset(offset):
     base = rng.normal(size=7)
     c1 = list(zip(controls.tolist(), base.tolist()))
     c2 = list(zip(controls.tolist(), (base + offset).tolist()))
-    assert best_response_discrete(c1) == best_response_discrete(c2)
+    assert _best_response(c1) == _best_response(c2)
 
 
 # ------------------------------------------------------------ linear control
 
 def test_linear_control_at_rest():
-    assert linear_control(0.0, 0.0, 1.0) == 0.0
+    assert linear_control_closed_loop([(0.5, 0.0, 1.0)], 1.0) == [(0.5, 0.0)]
 
 
 def test_linear_control_decoupled():
-    assert linear_control(0.7, 0.3, 0.0) == -0.7
+    assert linear_control_closed_loop([(0.5, 0.7, 1.0)], 0.0) == [(0.5, -0.7)]
 
 
 def test_linear_control_formula():
-    assert linear_control(1.0, 0.2, 0.5) == pytest.approx(-1.1, rel=1e-15)
+    # every closed-loop control obeys the pointwise law -p - m1*theta at the
+    # mean control theta it induces
+    rng = np.random.default_rng(29)
+    p = rng.normal(size=20)
+    w = rng.uniform(0.0, 1.0 / 20, 20)
+    m1 = 0.5
+    out = linear_control_closed_loop(list(zip(np.linspace(0, 1, 20), p, w)), m1)
+    alphas = np.array([a for _, a in out])
+    theta = float(np.dot(w, alphas))
+    assert alphas == pytest.approx(-p - m1 * theta, rel=1e-14, abs=1e-15)
 
 
 def test_linear_control_lipschitz_exact():
     rng = np.random.default_rng(31)
     m1 = 0.4
     for _ in range(100):
-        p1, p2 = rng.normal(size=2)
-        th1, th2 = rng.uniform(-0.2, 0.2, 2)
-        gap = abs(linear_control(p1, th1, m1) - linear_control(p2, th2, m1))
-        assert gap <= abs(p1 - p2) + m1 * abs(th1 - th2) + 1e-14
+        (p1, p2), (w1, w2) = rng.normal(size=2), rng.uniform(0.0, 1.0, 2)
+        ((_, a1),) = linear_control_closed_loop([(0.5, p1, w1)], m1)
+        ((_, a2),) = linear_control_closed_loop([(0.5, p2, w2)], m1)
+        th1, th2 = w1 * a1, w2 * a2
+        assert abs(a1 - a2) <= abs(p1 - p2) + m1 * abs(th1 - th2) + 1e-14
 
 
 def test_closed_loop_uniform_unit_mass():

@@ -264,6 +264,11 @@ def test_refinancing_smoke_run():
     mass = Flow.of(result.trajectories).mass
     assert np.all(np.diff(mass) <= 0.0)
     assert mass[-1] < mass[0]  # compounding debt pushes tails out
+    # the fixed point a = -M1*theta/(2*eps) of the best reply projects onto
+    # the grid point 0, so every live control is 0
+    traj = result.trajectories
+    live = traj.exit_step[:, None] > np.arange(traj.n_steps)[None, :]
+    assert np.all(traj.alpha[live] == 0.0)
 
 
 def test_post_step_lookahead_rejected_for_mean_control_drift():

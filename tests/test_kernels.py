@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bestreply.engine import graded_joint_moments
 from bestreply.kernels import (
+    METRIC_TERMS,
     ShapeKernel,
-    WeakStarMetricConfig,
-    domain_radius,
     kernel_density,
     lambert_w0,
     monomial_exponents,
-    weak_star_distance,
+    weak_star_distance_from_moments,
 )
 
 NEG_INV_E = -math.exp(-1.0)
@@ -86,52 +86,51 @@ def test_w_identity_property(x):
 # --------------------------------------------------------------- ShapeKernel
 
 def test_kernel_peak_value_cubic_bspline():
-    k = ShapeKernel(family="cubic_bspline", bandwidth=1.0)
+    k = ShapeKernel(bandwidth=1.0)
     assert k.profile(0.0) == pytest.approx(4.0 / 3.0, abs=1e-15)
 
 
 def test_kernel_compact_support():
-    k = ShapeKernel(family="cubic_bspline", bandwidth=1.0)
+    k = ShapeKernel(bandwidth=1.0)
     for u in (1.0, -1.0, 1.0001, -2.0, 7.5):
         assert k.profile(u) == 0.0
 
 
 def test_kernel_nonnegative_and_unit_integral():
-    for family in ("cubic_bspline", "biweight"):
-        k = ShapeKernel(family=family, bandwidth=1.0)
-        u = np.linspace(-1.0, 1.0, 20001)
-        vals = k.profile(u)
-        assert np.all(vals >= 0.0)
-        assert abs(np.trapezoid(vals, u) - 1.0) <= 1e-8
+    k = ShapeKernel(bandwidth=1.0)
+    u = np.linspace(-1.0, 1.0, 20001)
+    vals = k.profile(u)
+    assert np.all(vals >= 0.0)
+    assert abs(np.trapezoid(vals, u) - 1.0) <= 1e-8
 
 
 def test_kernel_bandwidth_scaling():
     # phi_eps(x) = phi(x/eps)/eps in one dimension
-    k = ShapeKernel(family="cubic_bspline", bandwidth=0.1)
+    k = ShapeKernel(bandwidth=0.1)
     assert k.scaled(0.0) == pytest.approx((4.0 / 3.0) / 0.1, rel=1e-14)
     assert k.scaled(0.05) == pytest.approx(k.profile(0.5) / 0.1, rel=1e-14)
 
 
 def test_kernel_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        ShapeKernel(family="cubic_bspline", bandwidth=0.0)
+        ShapeKernel(bandwidth=0.0)
     with pytest.raises(ValueError):
-        ShapeKernel(family="no_such_family", bandwidth=1.0)
+        ShapeKernel(bandwidth=-0.1)
 
 
 def test_kernel_density_single_atom_at_center():
-    k = ShapeKernel(family="cubic_bspline", bandwidth=0.1)
+    k = ShapeKernel(bandwidth=0.1)
     val = kernel_density([(0.5, 1.0)], k, 0.5)
     assert val == pytest.approx((4.0 / 3.0) / 0.1, rel=1e-12)
 
 
 def test_kernel_density_outside_support_is_zero():
-    k = ShapeKernel(family="cubic_bspline", bandwidth=0.1)
+    k = ShapeKernel(bandwidth=0.1)
     assert kernel_density([(0.5, 1.0)], k, 0.9) == 0.0
 
 
 def test_kernel_density_linearity():
-    k = ShapeKernel(family="cubic_bspline", bandwidth=0.1)
+    k = ShapeKernel(bandwidth=0.1)
     atoms = [(0.4, 0.5), (0.6, 0.5)]
     # query midway: symmetric offsets, so twice the single-atom value
     val = kernel_density(atoms, k, 0.5)
@@ -140,12 +139,12 @@ def test_kernel_density_linearity():
 
 
 def test_kernel_density_empty_atom_list():
-    k = ShapeKernel(family="cubic_bspline", bandwidth=0.1)
+    k = ShapeKernel(bandwidth=0.1)
     assert kernel_density([], k, 0.3) == 0.0
 
 
 def test_kernel_density_never_negative():
-    k = ShapeKernel(family="cubic_bspline", bandwidth=0.07)
+    k = ShapeKernel(bandwidth=0.07)
     rng = np.random.default_rng(5)
     atoms = [(float(x), float(w)) for x, w in zip(rng.uniform(0, 1, 40), rng.uniform(0, 0.02, 40))]
     for q in np.linspace(-0.2, 1.2, 101):
@@ -154,7 +153,7 @@ def test_kernel_density_never_negative():
 
 def test_kernel_density_conserves_interior_mass():
     # atoms well inside the domain: quadrature recovers the total weight
-    k = ShapeKernel(family="cubic_bspline", bandwidth=0.05)
+    k = ShapeKernel(bandwidth=0.05)
     rng = np.random.default_rng(11)
     pos = rng.uniform(0.2, 0.8, 30)
     w = rng.uniform(0.0, 1.0 / 30.0, 30)
@@ -164,7 +163,7 @@ def test_kernel_density_conserves_interior_mass():
 
 
 def test_kernel_density_grid_matches_pointwise():
-    k = ShapeKernel(family="cubic_bspline", bandwidth=0.1)
+    k = ShapeKernel(bandwidth=0.1)
     pos = np.array([0.3, 0.5, 0.55])
     w = np.array([0.2, 0.3, 0.1])
     grid = np.linspace(0.0, 1.0, 17)
@@ -176,8 +175,10 @@ def test_kernel_density_grid_matches_pointwise():
 
 # ---------------------------------------------------------- weak-star metric
 
-def _cfg(a=2.0, k=20):
-    return WeakStarMetricConfig(a=a, max_terms=k, domain_box=((0.0, 1.0), (-0.2, 0.2)))
+def _distance(nu1, nu2, k=METRIC_TERMS):
+    # nu = (points, weights) with points as rows (x, alpha)
+    moments = [graded_joint_moments(pts[:, 0], pts[:, 1], w, k) for pts, w in (nu1, nu2)]
+    return weak_star_distance_from_moments(*moments)
 
 
 def test_monomial_ordering_graded():
@@ -188,7 +189,7 @@ def test_monomial_ordering_graded():
 def test_weak_star_identical_measures():
     pts = np.array([[0.5, 0.1], [0.7, -0.1]])
     w = np.array([0.5, 0.5])
-    assert weak_star_distance((pts, w), (pts, w), _cfg()) == 0.0
+    assert _distance((pts, w), (pts, w)) == 0.0
 
 
 def test_weak_star_symmetry():
@@ -197,9 +198,8 @@ def test_weak_star_symmetry():
     p2 = np.column_stack([rng.uniform(0, 1, 5), rng.uniform(-0.2, 0.2, 5)])
     w1 = rng.uniform(0, 0.1, 8)
     w2 = rng.uniform(0, 0.1, 5)
-    cfg = _cfg()
-    d12 = weak_star_distance((p1, w1), (p2, w2), cfg)
-    d21 = weak_star_distance((p2, w2), (p1, w1), cfg)
+    d12 = _distance((p1, w1), (p2, w2))
+    d21 = _distance((p2, w2), (p1, w1))
     assert d12 == d21
     assert d12 > 0.0
 
@@ -207,15 +207,13 @@ def test_weak_star_symmetry():
 def test_weak_star_three_term_hand_value():
     # one atom each at x=0.5 and x=0.6, both with alpha=0 and unit weight;
     # moments 1, x, alpha give I = (0, -0.1, 0), so d = (1/4)*0.1/1.1 = 1/44
-    cfg = _cfg(a=2.0, k=3)
     nu1 = (np.array([[0.5, 0.0]]), np.array([1.0]))
     nu2 = (np.array([[0.6, 0.0]]), np.array([1.0]))
-    assert weak_star_distance(nu1, nu2, cfg) == pytest.approx(1.0 / 44.0, rel=1e-12)
+    assert _distance(nu1, nu2, k=3) == pytest.approx(1.0 / 44.0, rel=1e-12)
 
 
 def test_weak_star_triangle_inequality():
     rng = np.random.default_rng(17)
-    cfg = _cfg()
     for _ in range(50):
         measures = []
         for _ in range(3):
@@ -224,36 +222,30 @@ def test_weak_star_triangle_inequality():
             w = rng.uniform(0, 1.0 / n, n)
             measures.append((pts, w))
         a, b, c = measures
-        dab = weak_star_distance(a, b, cfg)
-        dbc = weak_star_distance(b, c, cfg)
-        dac = weak_star_distance(a, c, cfg)
+        dab = _distance(a, b)
+        dbc = _distance(b, c)
+        dac = _distance(a, c)
         assert dac <= dab + dbc + 1e-15
 
 
 def test_weak_star_zero_iff_moments_match():
     # two different atom layouts with identical low-order moments still differ
     # at some order <= the truncation, so the distance is positive
-    cfg = _cfg()
     nu1 = (np.array([[0.2, 0.0], [0.8, 0.0]]), np.array([0.5, 0.5]))
     nu2 = (np.array([[0.5, 0.0]]), np.array([1.0]))  # same mass and mean
-    assert weak_star_distance(nu1, nu2, cfg) > 0.0
-
-
-def test_domain_radius():
-    assert domain_radius(((0.0, 1.0),)) == 1.0
-    assert domain_radius(((-1.0, 1.0), (-0.2, 0.2))) == pytest.approx(math.hypot(1.0, 0.2))
+    assert _distance(nu1, nu2) > 0.0
 
 
 def test_weak_star_test_function_bound():
     # |int h d(nu1-nu2)| <= a(1+2*delta(B))*||h||_inf * d_a + 2*a^-K
-    # for a test function within the retained monomial span. The bound is
-    # NOT universal for arbitrary bounded h (see the counterexample test
-    # below), so the empirical check uses a low-order h where it is provable.
+    # for a test function within the retained monomial span, with a = 2,
+    # K = METRIC_TERMS and delta(B) the largest |z| over the box
+    # [0, 1] x [-0.2, 0.2]. The bound is NOT universal for arbitrary bounded
+    # h (see the counterexample test below), so the empirical check uses a
+    # low-order h where it is provable.
     rng = np.random.default_rng(23)
-    box = ((0.0, 1.0), (-0.2, 0.2))
-    cfg = WeakStarMetricConfig(a=2.0, max_terms=20, domain_box=box)
-    delta = domain_radius(box)
-    slack = 2.0 * cfg.a ** (-cfg.max_terms)
+    delta = math.hypot(1.0, 0.2)
+    slack = 2.0 * 2.0 ** (-METRIC_TERMS)
 
     def h(pts):
         return 0.3 + 0.4 * pts[:, 0] + 0.2 * pts[:, 1]
@@ -266,8 +258,8 @@ def test_weak_star_test_function_bound():
         nu2 = (np.column_stack([rng.uniform(0, 1, n2), rng.uniform(-0.2, 0.2, n2)]),
                rng.uniform(0, 1.0 / n2, n2))
         lhs = abs(float(np.dot(nu1[1], h(nu1[0])) - np.dot(nu2[1], h(nu2[0]))))
-        da = weak_star_distance(nu1, nu2, cfg)
-        rhs = cfg.a * (1.0 + 2.0 * delta) * h_sup * da + slack
+        da = _distance(nu1, nu2)
+        rhs = 2.0 * (1.0 + 2.0 * delta) * h_sup * da + slack
         assert lhs <= rhs + 1e-12
 
 
@@ -275,20 +267,21 @@ def test_weak_star_bound_fails_for_high_order_h():
     # documents the restriction above: two unit atoms far apart have a large
     # h-difference for a sign-flipping h while every retained monomial moment
     # difference saturates, keeping d_a small; the quantitative bound breaks
-    box = ((0.0, 1.0), (-0.2, 0.2))
-    cfg = WeakStarMetricConfig(a=2.0, max_terms=20, domain_box=box)
-    delta = domain_radius(box)
+    delta = math.hypot(1.0, 0.2)
     nu1 = (np.array([[1.0, 0.0]]), np.array([1.0]))
     nu2 = (np.array([[0.0, 0.0]]), np.array([1.0]))
     # h with h(1,0) = 1, h(0,0) = -1, sup 1
     lhs = 2.0
-    da = weak_star_distance(nu1, nu2, cfg)
-    rhs = cfg.a * (1.0 + 2.0 * delta) * 1.0 * da + 2.0 * cfg.a ** (-cfg.max_terms)
+    da = _distance(nu1, nu2)
+    rhs = 2.0 * (1.0 + 2.0 * delta) * 1.0 * da + 2.0 * 2.0 ** (-METRIC_TERMS)
     assert lhs > rhs
 
 
-def test_weak_star_config_validation():
+def test_weak_star_rejects_bad_moment_vectors():
     with pytest.raises(ValueError):
-        WeakStarMetricConfig(a=1.0, max_terms=20, domain_box=((0, 1),))
+        weak_star_distance_from_moments(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
-        WeakStarMetricConfig(a=2.0, max_terms=0, domain_box=((0, 1),))
+        weak_star_distance_from_moments(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        too_many = np.zeros(METRIC_TERMS + 1)
+        weak_star_distance_from_moments(too_many, too_many)

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from bestreply.kernels import WeakStarMetricConfig, weak_star_distance
+from bestreply.engine import graded_joint_moments
+from bestreply.kernels import weak_star_distance_from_moments
 from bestreply.measures import (
     EmpiricalJointMeasure,
-    center_of_mass,
     first_moment,
-    fixed_point_residual,
     monotonicity_check,
     theta,
-    total_mass,
 )
 
 DOMAIN = (0.0, 1.0)
@@ -89,33 +87,19 @@ def test_theta_linear_in_weights_and_bounded():
         nu = measure(x, a, w)
         nu2 = measure(x, a, 0.5 * w)
         assert theta(nu2) == pytest.approx(0.5 * theta(nu), rel=1e-12, abs=1e-15)
-        assert abs(theta(nu)) <= 0.2 * total_mass(nu) + 1e-15
+        assert abs(theta(nu)) <= 0.2 * nu.w.sum() + 1e-15
 
 
 # ------------------------------------------------------------------ moments
 
 def test_moments_two_atom_anchor():
     nu = measure([0.5, 1.0], [0.0, 0.0], [0.5, 0.5])
-    assert total_mass(nu) == pytest.approx(1.0, abs=1e-15)
     assert first_moment(nu) == pytest.approx(0.75, rel=1e-15)
-    assert center_of_mass(nu) == pytest.approx(0.75, rel=1e-15)
-
-
-def test_mass_additivity_after_exit():
-    nu = measure([0.5], [0.0], [0.5])
-    assert total_mass(nu) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_single_atom_moments():
     nu = measure([0.3], [0.0], [0.2])
     assert first_moment(nu) == pytest.approx(0.06, rel=1e-15)
-    assert center_of_mass(nu) == pytest.approx(0.3, rel=1e-15)
-
-
-def test_center_of_mass_empty_population_errors():
-    nu = measure([], [], [])
-    with pytest.raises(ValueError):
-        center_of_mass(nu)
 
 
 # ------------------------------------------------------------- monotonicity
@@ -179,31 +163,10 @@ def test_monotonicity_depends_on_time_argument():
     assert monotonicity_check(lag, nu1, nu2, 2.0) == pytest.approx(2.0 * (0.4) ** 2, rel=1e-12)
 
 
-# ------------------------------------------------------- fixed point residual
-
-def test_fixed_point_residual_zero_when_consistent():
-    nu = measure([0.2, 0.8], [-0.2, 0.2], [0.5, 0.5])
-
-    def br(t, x):
-        return -0.2 if x < 0.5 else 0.2
-
-    assert fixed_point_residual(nu, br, 0.0) == 0.0
-
-
-def test_fixed_point_residual_direct_difference():
-    nu = measure([0.5], [0.1], [1.0])
-    assert fixed_point_residual(nu, lambda t, x: -0.1, 0.0) == pytest.approx(0.2, rel=1e-15)
-
-
-def test_fixed_point_residual_empty_measure():
-    nu = measure([], [], [])
-    assert fixed_point_residual(nu, lambda t, x: 0.0, 0.0) == 0.0
-
-
-# ------------------------------------------------ weak-star interop (duck type)
+# ------------------------------------------------------- weak-star interop
 
 def test_measure_plugs_into_weak_star_distance():
-    cfg = WeakStarMetricConfig(a=2.0, max_terms=3, domain_box=(DOMAIN, CONTROLS))
     nu1 = measure([0.5], [0.0], [1.0])
     nu2 = measure([0.6], [0.0], [1.0])
-    assert weak_star_distance(nu1, nu2, cfg) == pytest.approx(1.0 / 44.0, rel=1e-12)
+    m1, m2 = (graded_joint_moments(nu.x, nu.alpha, nu.w, 3) for nu in (nu1, nu2))
+    assert weak_star_distance_from_moments(m1, m2) == pytest.approx(1.0 / 44.0, rel=1e-12)

@@ -24,7 +24,7 @@ from bestreply.engine import (
     sweep_best_reply,
     time_averaged_moments,
 )
-from bestreply.kernels import weak_star_distance_from_moments
+from bestreply.kernels import METRIC_TERMS, weak_star_distance_from_moments
 from bestreply.models import (
     EvacuationParams,
     RefinancingParams,
@@ -112,11 +112,10 @@ def reference_sweep(prev, model, grid, *, seed, phase, sweep_index, xi, options)
         new_x[:, step + 1] = cur_x
 
     new_traj = TrajectorySet(x=new_x, alpha=new_alpha, exit_step=new_exit, weight=w, dt=dt)
-    n_terms = options.metric.max_terms
+    n_terms = METRIC_TERMS
     change = weak_star_distance_from_moments(
         time_averaged_moments(prev, n_terms),
         time_averaged_moments(new_traj, n_terms),
-        options.metric,
     )
     return new_traj, modifications, change
 
