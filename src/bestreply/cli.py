@@ -42,6 +42,14 @@ def _load_config(path: str):
         return None, _EXIT_IO
 
 
+def _sweeps_text(result) -> str:
+    reports = result.reports
+    text = f"{len(reports)} sweep(s)"
+    if reports:
+        text += f", final modifications {reports[-1].modifications}"
+    return text
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg, rc = _load_config(args.config)
     if cfg is None:
@@ -71,12 +79,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         _fail(str(exc))
         return _EXIT_IO
-    reports = outcome.phase2.reports
-    sweeps = len(reports)
-    final_mods = reports[-1].modifications if reports else None
-    status = "converged" if outcome.converged else "did not converge"
-    print(f"{cfg.model}: {status} after {sweeps} sweep(s)"
-          + (f", final modifications {final_mods}" if final_mods is not None else ""))
+    if outcome.converged:
+        status = f"converged after {_sweeps_text(outcome.phase2)}"
+    else:
+        phases = ((1, outcome.phase1), (2, outcome.phase2))
+        status = "did not converge: " + "; ".join(
+            f"phase {number} ran out after {_sweeps_text(result)}"
+            for number, result in phases
+            if result is not None and not result.converged
+        )
+    print(f"{cfg.model}: {status}")
     print(f"artifacts written to {manifest.parent}")
     return _EXIT_OK if outcome.converged else _EXIT_NOT_CONVERGED
 
@@ -158,9 +170,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _fail(f"manifest does not parse: {exc}")
         return _EXIT_VALIDATION
 
-    iteration_lines = iterations.read_text().splitlines()[1:]
+    logs = [iterations]
+    if cfg.phase1_enabled:
+        logs.append(out / "iterations_phase1.csv")
+        if not logs[1].exists():
+            _fail(f"missing artifact {logs[1]}")
+            return _EXIT_IO
+    phase_lines = [log.read_text().splitlines()[1:] for log in logs]
+    iteration_lines = phase_lines[0]
     mass_lines = mass.read_text().splitlines()[1:]
-    converged = bool(iteration_lines) and iteration_lines[-1].split(",")[3] == "true"
+    # as for ``run``: converged only if every phase that ran ended converged
+    converged = all(lines and lines[-1].split(",")[3] == "true" for lines in phase_lines)
     final_mass = float(mass_lines[-1].split(",")[1]) if mass_lines else float("nan")
 
     rows = [
@@ -176,6 +196,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if iteration_lines:
         last = iteration_lines[-1].split(",")
         rows.insert(6, ("final modifications", last[1]))
+    if cfg.phase1_enabled:
+        rows.insert(5, ("phase 1 sweeps", str(len(phase_lines[1]))))
     width = max(len(name) for name, _value in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value}")

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _MODELS = ("evacuation", "refinancing")
-_COST_EVALS = ("pre_step", "post_step")
 _THETA_SELF = ("exclude", "include")
 # seeds key counter-based Philox streams as an unsigned 64-bit word
 _SEED_LIMIT = 2**64
@@ -91,8 +90,6 @@ class RunConfig:
     phase1_particles: int
     phase1_keep_fraction: float
     max_sweeps: int
-    convergence_threshold: float
-    cost_eval: str
     theta_self: str
 
     def __post_init__(self) -> None:
@@ -142,17 +139,8 @@ class RunConfig:
             raise ConfigError("phase1_keep_fraction must lie in [0, 1]")
         if self.max_sweeps < 0:
             raise ConfigError("max_sweeps must be non-negative")
-        if self.convergence_threshold < 0.0:
-            raise ConfigError("convergence_threshold must be non-negative")
-        if self.cost_eval not in _COST_EVALS:
-            raise ConfigError(f"cost_eval must be one of {_COST_EVALS}")
         if self.theta_self not in _THETA_SELF:
             raise ConfigError(f"theta_self must be one of {_THETA_SELF}")
-        if self.model == "refinancing" and self.cost_eval == "post_step":
-            raise ConfigError(
-                "cost_eval = post_step needs a drift without population terms; "
-                "the refinancing drift scales the state by the mean control"
-            )
 
     @property
     def n_steps(self) -> int:
@@ -180,11 +168,7 @@ class RunConfig:
         return ControlGrid.uniform(self.control_lo, self.control_hi, self.n_alpha)
 
     def sweep_options(self) -> SweepOptions:
-        return SweepOptions(
-            cost_eval=self.cost_eval,
-            theta_self=self.theta_self,
-            convergence_threshold=self.convergence_threshold,
-        )
+        return SweepOptions(theta_self=self.theta_self)
 
 
 # --------------------------------------------------------------------------
@@ -219,8 +203,6 @@ _KEYS: dict[str, tuple[str, object, tuple]] = {
     "phase1_particles": ("int", 150, _MODELS),
     "phase1_keep_fraction": ("float", 0.01, _MODELS),
     "max_sweeps": ("int", 50, _MODELS),
-    "convergence_threshold": ("float", 0.0, _MODELS),
-    "cost_eval": ("str", "pre_step", _MODELS),
     "theta_self": ("str", "exclude", _MODELS),
 }
 
@@ -231,6 +213,8 @@ _REMOVED_KEYS = {
     "sweep_mode": "every sweep visits all live particles at every step",
     "rate_choice": "the refinancing rate is always 0.05 + theta",
     "state_cost_choice": "the refinancing state cost is always (1 + x) / 2",
+    "cost_eval": "candidates are priced post-step exactly when the drift has no state gain",
+    "convergence_threshold": "a run converges when a sweep modifies no control",
 }
 
 assert set(_KEYS) == {f.name for f in fields(RunConfig)}

@@ -145,26 +145,19 @@ class IterationReport:
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """Knobs of the sweep algorithm (all deterministic given the seed).
+    """The one setting of the sweep's decision rule.
 
-    ``cost_eval`` places the one-step cost at the pre-step position
-    ("pre_step", the default) or at the deterministic lookahead position
-    x + drift*dt ("post_step"); the lookahead requires a drift without
-    mean-control terms. ``theta_self`` controls whether a deciding
-    particle's own atom is included in the mean control it reacts to.
+    ``theta_self`` controls whether a deciding particle's own atom is
+    included in the mean control it reacts to. Where candidates are priced
+    follows from the model (see ``sweep_best_reply``), and a sweep converges
+    when it modifies no control.
     """
 
-    cost_eval: str = "pre_step"
     theta_self: str = "exclude"
-    convergence_threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cost_eval not in ("pre_step", "post_step"):
-            raise ValueError("cost_eval must be 'pre_step' or 'post_step'")
         if self.theta_self not in ("exclude", "include"):
             raise ValueError("theta_self must be 'exclude' or 'include'")
-        if self.convergence_threshold < 0.0:
-            raise ValueError("convergence_threshold must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -368,10 +361,11 @@ def _fixed_order_sum(values: np.ndarray) -> float:
 
 
 def graded_joint_moments(
-    x: np.ndarray, alpha: np.ndarray, weights: np.ndarray, n_terms: int
+    x: np.ndarray, alpha: np.ndarray, weights: np.ndarray | float, n_terms: int
 ) -> np.ndarray:
     """First ``n_terms`` graded monomial moments of an atomic (x, alpha) measure.
 
+    ``weights`` holds one weight per atom, or is one weight common to all.
     Matches the basis ordering of kernels.monomial_exponents for two
     variables: degree blocks, x-exponent descending within each block. Each
     moment is an order-fixed sum, so it is the same on every machine.
@@ -420,8 +414,7 @@ def time_averaged_moments(traj: TrajectorySet, n_terms: int) -> np.ndarray:
     active = traj.exit_step[:, None] > np.arange(n_steps)[None, :]
     xs = traj.x[:, :n_steps][active]
     alphas = traj.alpha[active]
-    weights = np.full(xs.size, traj.weight / n_steps)
-    return graded_joint_moments(xs, alphas, weights, n_terms)
+    return graded_joint_moments(xs, alphas, traj.weight / n_steps, n_terms)
 
 
 # --------------------------------------------------------------------------
@@ -450,28 +443,29 @@ def sweep_best_reply(
     ties resolving to the smallest grid index; the particle then advances
     through the dynamics.
 
+    Where a candidate is priced follows from the model. When its drift has
+    no state gain (``model.state_gain_is_zero``) the state cost is taken at
+    the landing position x + a*dt, so it reacts to where the step leads.
+    Otherwise it is taken at the pre-step position, where it is the same for
+    every candidate and drops out of the argmin.
+
     Each particle is visited at most once per step, so everything a decision
     reads about its own particle is fixed when the step starts; only the
     running first-moment and mean-control sums carry from one decision to
     the next. The step's columns are therefore gathered in visit order
     once, the decisions run on plain floats, and the visitors advance
     together in one ``_advance`` call when the step's last decision is made.
-    The model's ``state_cost`` is called once per decision under
-    ``post_step`` pricing, with the (G,) row of landing positions and the
-    running first moment, and ``state_gain`` once per decision unless the
-    model declares it zero.
+    The model's ``state_cost`` is called once per decision when candidates
+    are priced at their landing positions, with the (G,) row of those
+    positions and the running first moment, and ``state_gain`` once per
+    decision otherwise.
     """
     n, n_steps = prev.n_particles, prev.n_steps
     w, dt = prev.weight, prev.dt
     g = grid.points
     lo, hi = model.domain
-    post = options.cost_eval == "post_step"
+    post = model.state_gain_is_zero
     include_self = options.theta_self == "include"
-    if post and not model.state_gain_is_zero:
-        raise ValueError(
-            "post_step cost evaluation needs a drift free of population terms; "
-            "this model's drift depends on the mean control"
-        )
     coef_dt = dt * model.coupling_coef
     noise_scale = 2.0 * math.sqrt(model.diffusion) * math.sqrt(dt)
     g_dt = g * dt
@@ -479,7 +473,7 @@ def sweep_best_reply(
     # quadratic term; (q0, a0) opens the scan and ``terms`` continues it
     (q0, a0), *terms = zip((dt * model.quad_weight * g * g).tolist(), g.tolist())
     state_cost = model.state_cost
-    state_gain = None if model.state_gain_is_zero else model.state_gain
+    state_gain = None if post else model.state_gain
 
     new_x = np.empty((n, n_steps + 1))
     new_x[:, 0] = prev.x[:, 0]
@@ -572,12 +566,11 @@ def sweep_best_reply(
     new_moments = time_averaged_moments(new_traj, METRIC_TERMS)
     new_traj.cached_moments = new_moments
     change = weak_star_distance_from_moments(old_moments, new_moments)
-    converged = modifications == 0 or change <= options.convergence_threshold
     report = IterationReport(
         sweep=sweep_index,
         modifications=modifications,
         distribution_change=change,
-        converged=converged,
+        converged=modifications == 0,
     )
     return new_traj, report
 
@@ -595,8 +588,7 @@ def run_to_equilibrium(
     options: SweepOptions,
     start_controls: Optional[np.ndarray] = None,
 ) -> EquilibriumResult:
-    """Sweep until no particle modifies any control (or the distribution
-    stops moving), up to ``max_sweeps`` sweeps.
+    """Sweep until a sweep modifies no control, up to ``max_sweeps`` sweeps.
 
     The starting trajectory plays the nearest-boundary initial controls, or
     ``start_controls`` (a per-particle, per-step matrix on the grid) when
@@ -667,8 +659,9 @@ def max_greedy_gap(
     """Largest one-step regret over a random sample of (particle, step) pairs.
 
     Freezes the final empirical measures and re-prices every grid control for
-    the sampled pairs; at an equilibrium the adopted control never loses, so
-    the gap is ~0 (up to summation-order rounding).
+    the sampled pairs where the sweep prices them (see ``sweep_best_reply``);
+    at an equilibrium the adopted control never loses, so the gap is ~0 (up
+    to summation-order rounding).
     """
     rng = np.random.default_rng(seed)
     g = grid.points
@@ -676,7 +669,7 @@ def max_greedy_gap(
     quad = dt * model.quad_weight * g * g
     coef_dt = dt * model.coupling_coef
     include_self = options.theta_self == "include"
-    post = options.cost_eval == "post_step"
+    post = model.state_gain_is_zero
     flow = Flow.of(traj)
     worst = 0.0
     for step in range(traj.n_steps):
@@ -762,8 +755,8 @@ def value_function_trace(
     """Per-particle cost-to-go along the final trajectories.
 
     Backward accumulation of the one-step running costs against the realized
-    empirical measures, plus the terminal cost for particles alive at the
-    horizon; identically zero from a particle's exit time onward. The mean
+    empirical measures, from zero at the horizon (there is no terminal
+    cost); identically zero from a particle's exit time onward. The mean
     control keeps the sweep's self-inclusion convention so the traces price
     exactly what the particles optimized.
     """
@@ -772,10 +765,6 @@ def value_function_trace(
     include_self = options.theta_self == "include"
     flow = Flow.of(traj)
     u = np.zeros((n, n_steps + 1))
-    alive_at_horizon = np.nonzero(traj.exit_step > n_steps)[0]
-    final_mass = w * alive_at_horizon.size
-    for k in alive_at_horizon:
-        u[k, n_steps] = model.terminal_cost(float(traj.x[k, n_steps]), final_mass)
     for step in range(n_steps - 1, -1, -1):
         active = traj.exit_step > step
         if not active.any():

@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 
-def _zero_terminal(x: float, mass: float) -> float:
-    return 0.0
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Everything the engine needs to simulate and cost one model.
@@ -46,9 +42,10 @@ class ModelSpec:
     population's raw first moment and broadcasts like numpy arithmetic: a
     row of positions with a scalar moment, or an (m, G) block with an (m, 1)
     column of moments. ``state_gain`` maps the mean control to the
-    multiplier on x in the drift (identically zero for models whose drift
-    ignores the mean control, signalled by ``state_gain_is_zero`` so
-    lookahead cost tables can be precomputed).
+    multiplier on x in the drift. ``state_gain_is_zero`` declares it
+    identically zero, and also sets where the sweep prices a candidate
+    control: at its landing position when set, at the pre-step position
+    otherwise. There is no terminal cost.
     """
 
     name: str
@@ -60,7 +57,6 @@ class ModelSpec:
     state_cost: Callable[[float, np.ndarray, object], np.ndarray]
     state_gain: Callable[[float], float]
     state_gain_is_zero: bool
-    terminal_cost: Callable[[float, float], float]
     initial_density: Callable[[np.ndarray], np.ndarray]
     params: object
 
@@ -152,7 +148,6 @@ def evacuation_model(
         state_cost=lambda t, xq, fm: _evac_state_cost(p, xq, fm),
         state_gain=lambda th: 0.0,
         state_gain_is_zero=True,
-        terminal_cost=_zero_terminal,
         initial_density=_evacuation_initial_density,
         params=p,
     )
@@ -228,7 +223,6 @@ def refinancing_model(
         state_cost=lambda t, xq, fm: np.asarray(p.ell(t, xq), dtype=float) * np.ones_like(xq),
         state_gain=lambda th: 1.0 + p.rho(th),
         state_gain_is_zero=False,
-        terminal_cost=_zero_terminal,
         initial_density=_refinancing_initial_density,
         params=p,
     )

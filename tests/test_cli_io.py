@@ -1,6 +1,7 @@
 import filecmp
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 
 from bestreply.cli import main
 from bestreply.config import (
+    _KEYS,
     ConfigError,
     RunConfig,
     format_config,
@@ -51,7 +53,6 @@ def _mini_evacuation(tmp_path, **overrides):
         "T": "0.6",
         "seed": "1",
         "max_sweeps": "25",
-        "cost_eval": "post_step",
         "snapshot_times": "0.012,0.2",
         "value_trace_starts": "0.6,0.8",
     }
@@ -81,8 +82,6 @@ def test_parse_minimal_fills_documented_defaults(tmp_path):
     assert cfg.phase1_particles == 150
     assert cfg.phase1_keep_fraction == 0.01
     assert cfg.max_sweeps == 50
-    assert cfg.convergence_threshold == 0.0
-    assert cfg.cost_eval == "pre_step"
     assert cfg.theta_self == "exclude"
     assert cfg.n_steps == 1000
 
@@ -132,6 +131,8 @@ def test_bad_number_is_parse_error_with_line(tmp_path):
     ("sweep_mode", "all_particles_per_step"),
     ("rate_choice", "default"),
     ("state_cost_choice", "default"),
+    ("cost_eval", "post_step"),
+    ("convergence_threshold", "0"),
 ])
 def test_removed_key_rejected_by_name(tmp_path, key, value):
     path = _write(tmp_path, f"model = evacuation\n{key} = {value}\n")
@@ -242,14 +243,12 @@ def test_shipped_configs_parse():
     assert full.sigma == 2.5e-9
     assert full.dt == 0.004
     assert full.n_steps == 1000
-    assert full.cost_eval == "post_step"
     assert len(full.snapshot_times) == 6
 
     desk = parse_config(shipped_config_path("evacuation_desk.cfg"))
     assert desk.model == "evacuation"
     assert desk.n_particles == 600
     assert desk.n_steps == 1000
-    assert desk.cost_eval == "post_step"
     assert desk.phase1_enabled is True
     assert set(desk.value_trace_starts) >= {0.6, 0.7, 0.8}
 
@@ -258,7 +257,15 @@ def test_shipped_configs_parse():
     assert refi.n_particles == 600
     assert (refi.control_lo, refi.control_hi) == (-0.05, 0.05)
     assert refi.m1 == 0.1
-    assert refi.cost_eval == "pre_step"
+
+
+def test_readme_config_table_lists_every_key():
+    # the backticked names in the first column of README's configuration table
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Configuration files", 1)[1]
+    table = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = [name for row in table for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(documented) == sorted(_KEYS)
 
 
 def test_build_model_grid_and_options(tmp_path):
@@ -271,14 +278,7 @@ def test_build_model_grid_and_options(tmp_path):
     assert grid.n_points == 11
     assert grid.lo == -0.2 and grid.hi == 0.2
     opts = cfg.sweep_options()
-    assert opts.cost_eval == "post_step"
     assert opts.theta_self == "include"
-
-
-def test_post_step_rejected_for_refinancing(tmp_path):
-    path = _write(tmp_path, "model = refinancing\ncost_eval = post_step\n")
-    with pytest.raises(ConfigError, match="post_step"):
-        parse_config(path)
 
 
 # ---------------------------------------------------------------- outputs
@@ -556,3 +556,39 @@ def test_cli_report_prints_summary(tmp_path, capsys):
     assert "refinancing" in text
     assert "converged" in text
     assert main(["report", "--out", str(tmp_path / "missing")]) == 3
+
+
+def test_cli_report_agrees_with_run_when_phase1_runs_out(tmp_path, capsys):
+    # phase 1 runs out of sweeps (modifications 1804, 1312) while phase 2
+    # converges (34, 0): the run has not converged, and both commands say so
+    text = (
+        "model = evacuation\nn_particles = 40\nT = 0.4\ndt = 0.004\n"
+        "phase1_enabled = true\nphase1_particles = 20\nphase1_keep_fraction = 0.5\n"
+        "max_sweeps = 2\nseed = 0\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary == (
+        "evacuation: did not converge: phase 1 ran out after 2 sweep(s), "
+        "final modifications 1312"
+    )
+    assert main(["report", "--out", str(out)]) == 0
+    report = capsys.readouterr().out.splitlines()
+    rows = dict(re.split(r"\s{2,}", line, maxsplit=1) for line in report)
+    assert rows["converged"] == "false"
+    assert rows["phase 1 sweeps"] == "2"
+    assert rows["final modifications"] == "0"
+    (out / "iterations_phase1.csv").unlink()
+    assert main(["report", "--out", str(out)]) == 3
+
+
+def test_evacuation_default_pricing_lets_particles_leave(tmp_path):
+    # the congestion cost reacts to where a step lands, so people walk out;
+    # priced at the pre-step position it would be the same for every
+    # candidate, and everyone would stay in the room
+    out = tmp_path / "o"
+    cfg_path = _write(tmp_path, "model = evacuation\nn_particles = 60\nT = 2\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    final_mass = float((out / "mass.csv").read_text().splitlines()[-1].split(",")[1])
+    assert final_mass < 1.0

@@ -86,14 +86,13 @@ def _best_response(costs):
         state_cost=lambda t, xq, fm: table,
         state_gain=lambda th: 0.0,
         state_gain_is_zero=True,
-        terminal_cost=lambda x, m: 0.0,
         initial_density=lambda x: np.ones_like(x),
         params=None,
     )
     prev = TrajectorySet(x=np.full((1, 2), 0.5), alpha=np.zeros((1, 1)),
                          exit_step=np.array([2]), weight=1.0, dt=1.0)
     traj, _ = sweep_best_reply(prev, model, grid, seed=0, phase=0, sweep_index=1,
-                               xi=np.zeros((1, 1)), options=SweepOptions(cost_eval="post_step"))
+                               xi=np.zeros((1, 1)), options=SweepOptions())
     return float(traj.alpha[0, 0])
 
 

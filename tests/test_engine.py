@@ -53,7 +53,6 @@ def _constant_cost_model(rate=20.0):
         state_cost=lambda t, xq, fm: np.full_like(xq, rate),
         state_gain=lambda th: 0.0,
         state_gain_is_zero=True,
-        terminal_cost=lambda x, m: 0.0,
         initial_density=lambda x: np.ones_like(x),
         params=None,
     )
@@ -200,7 +199,7 @@ def test_evacuation_run_mass_monotone_and_contained():
     ens = init_ensemble(60, model.initial_density, model.domain, grid)
     result = run_to_equilibrium(
         model, grid, ens, dt=0.004, n_steps=250, seed=1, max_sweeps=12,
-        options=SweepOptions(cost_eval="post_step"),
+        options=SweepOptions(),
     )
     traj = result.trajectories
     mass = Flow.of(traj).mass
@@ -219,7 +218,7 @@ def test_nash_stationarity_and_verification():
     model = evacuation_model()
     grid = _grid11()
     ens = init_ensemble(40, model.initial_density, model.domain, grid)
-    opts = SweepOptions(cost_eval="post_step")
+    opts = SweepOptions()
     result = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=150, seed=5,
                                 max_sweeps=15, options=opts)
     assert result.converged
@@ -245,7 +244,7 @@ def test_greedy_optimality_spot_check():
     model = evacuation_model()
     grid = _grid11()
     ens = init_ensemble(40, model.initial_density, model.domain, grid)
-    opts = SweepOptions(cost_eval="post_step")
+    opts = SweepOptions()
     result = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=150, seed=5,
                                 max_sweeps=15, options=opts)
     assert result.converged
@@ -269,16 +268,6 @@ def test_refinancing_smoke_run():
     traj = result.trajectories
     live = traj.exit_step[:, None] > np.arange(traj.n_steps)[None, :]
     assert np.all(traj.alpha[live] == 0.0)
-
-
-def test_post_step_lookahead_rejected_for_mean_control_drift():
-    model = refinancing_model()
-    grid = ControlGrid.uniform(-0.05, 0.05, 5)
-    ens = init_ensemble(5, model.initial_density, model.domain, grid)
-    with pytest.raises(ValueError):
-        run_to_equilibrium(model, grid, ens, dt=0.01, n_steps=10, seed=0,
-                           max_sweeps=2,
-                           options=SweepOptions(cost_eval="post_step"))
 
 
 # ---------------------------------------------------------- flow and values
@@ -320,7 +309,7 @@ def test_value_traces_nonincreasing_and_zero_after_exit():
     model = evacuation_model()
     grid = _grid11()
     ens = init_ensemble(40, model.initial_density, model.domain, grid)
-    opts = SweepOptions(cost_eval="post_step")
+    opts = SweepOptions()
     result = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=200, seed=6,
                                 max_sweeps=15, options=opts)
     u = value_function_trace(result.trajectories, model, opts)
@@ -410,7 +399,7 @@ def test_two_phase_pipeline_smoke():
     result = run_two_phase(
         model, grid,
         n_particles=80, dt=0.004, n_steps=200, seed=9, max_sweeps=15,
-        options=SweepOptions(cost_eval="post_step"),
+        options=SweepOptions(),
         phase1_enabled=True, phase1_particles=30, keep_fraction=0.02,
     )
     assert result.phase2.converged

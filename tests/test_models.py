@@ -275,11 +275,6 @@ def test_state_gain_flags():
     assert refi.state_gain(0.0) == pytest.approx(1.05, rel=1e-14)
 
 
-def test_terminal_cost_defaults_to_zero():
-    assert evacuation_model().terminal_cost(0.3, 0.8) == 0.0
-    assert refinancing_model().terminal_cost(-0.3, 0.8) == 0.0
-
-
 def test_initial_densities():
     evac = evacuation_model()
     xs = np.linspace(0.0, 1.0, 2001)

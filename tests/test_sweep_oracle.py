@@ -2,10 +2,10 @@
 
 ``reference_sweep`` is the executable specification of one sweep: the
 straightforward numpy-per-decision loop, written without any of the engine's
-speed-ups. Hypothesis generates small runs over both models, both
-``theta_self`` values and both ``cost_eval`` values (post-step pricing only
-for evacuation, whose drift has no mean-control term), chains a few sweeps,
-and requires the engine to reproduce the reference bit for bit.
+speed-ups. Hypothesis generates small runs over both models (evacuation
+priced post-step, its drift having no state gain; refinancing pre-step) and
+both ``theta_self`` values, chains a few sweeps, and requires the engine to
+reproduce the reference bit for bit.
 """
 
 import math
@@ -39,7 +39,7 @@ def reference_sweep(prev, model, grid, *, seed, phase, sweep_index, xi, options)
     w, dt = prev.weight, prev.dt
     g = grid.points
     lo, hi = model.domain
-    post = options.cost_eval == "post_step"
+    post = model.state_gain_is_zero
     include_self = options.theta_self == "include"
     quad = dt * model.quad_weight * g * g
     coef_dt = dt * model.coupling_coef
@@ -153,16 +153,12 @@ def sweep_cases(draw):
             softening=draw(st.sampled_from([0.05, 0.2])),
         )
         model = evacuation_model(params, sigma=sigma)
-        cost_eval = draw(st.sampled_from(["pre_step", "post_step"]))
     else:
         params = RefinancingParams(M1=draw(st.sampled_from([0.0, 0.1, 2.0])))
         model = refinancing_model(params, sigma=sigma)
-        cost_eval = "pre_step"
     lo, hi = model.control_bounds
     grid = ControlGrid.uniform(lo, hi, draw(st.integers(2, 11)))
-    options = SweepOptions(
-        cost_eval=cost_eval, theta_self=draw(st.sampled_from(["exclude", "include"]))
-    )
+    options = SweepOptions(theta_self=draw(st.sampled_from(["exclude", "include"])))
     return dict(
         model=model, grid=grid, options=options,
         n=draw(st.integers(1, 40)),
@@ -182,12 +178,11 @@ def test_engine_matches_reference_sweep(case):
 @settings(max_examples=20, deadline=None)
 @given(
     theta_self=st.sampled_from(["exclude", "include"]),
-    cost_eval=st.sampled_from(["pre_step", "post_step"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(theta_self="exclude", cost_eval="post_step", seed=0)
-def test_single_particle_matches_reference(theta_self, cost_eval, seed):
-    options = SweepOptions(cost_eval=cost_eval, theta_self=theta_self)
+@example(theta_self="exclude", seed=0)
+def test_single_particle_matches_reference(theta_self, seed):
+    options = SweepOptions(theta_self=theta_self)
     _check_against_reference(
         evacuation_model(sigma=1e-3), ControlGrid.uniform(-0.2, 0.2, 11), options,
         n=1, n_steps=60, dt=0.02, seed=seed, sweeps=3,
@@ -201,7 +196,7 @@ def test_everyone_exits_early_matches_reference():
     model = evacuation_model(sigma=0.05)
     grid = ControlGrid.uniform(-0.2, 0.2, 5)
     for theta_self in ("exclude", "include"):
-        options = SweepOptions(cost_eval="post_step", theta_self=theta_self)
+        options = SweepOptions(theta_self=theta_self)
         traj = _check_against_reference(
             model, grid, options, n=30, n_steps=60, dt=0.1, seed=4, sweeps=3
         )
