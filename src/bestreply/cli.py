@@ -1,6 +1,7 @@
 """Command-line entry points: run, validate, report.
 
-Exit codes: 0 success, 1 validation failure, 2 run finished without reaching
+Exit codes: 0 success, 1 validation failure (including a model that prices
+a candidate control at a non-finite cost), 2 run finished without reaching
 a zero-modification equilibrium, 3 I/O problem (unreadable config, unwritable
 output directory, missing artifacts).
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
 from .controls import ControlParams, validate_parameters
-from .engine import run_two_phase
+from .engine import NonFiniteCostError, run_two_phase
 from .measures import EmpiricalJointMeasure, monotonicity_check
 from .outputs import write_outputs
 
@@ -61,19 +62,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         _fail(str(exc))
         return _EXIT_VALIDATION
-    outcome = run_two_phase(
-        model,
-        cfg.build_grid(),
-        n_particles=cfg.n_particles,
-        dt=cfg.dt,
-        n_steps=cfg.n_steps,
-        seed=cfg.seed,
-        max_sweeps=cfg.max_sweeps,
-        options=cfg.sweep_options(),
-        phase1_enabled=cfg.phase1_enabled,
-        phase1_particles=cfg.phase1_particles,
-        keep_fraction=cfg.phase1_keep_fraction,
-    )
+    try:
+        outcome = run_two_phase(
+            model,
+            cfg.build_grid(),
+            n_particles=cfg.n_particles,
+            dt=cfg.dt,
+            n_steps=cfg.n_steps,
+            seed=cfg.seed,
+            max_sweeps=cfg.max_sweeps,
+            options=cfg.sweep_options(),
+            phase1_enabled=cfg.phase1_enabled,
+            phase1_particles=cfg.phase1_particles,
+            keep_fraction=cfg.phase1_keep_fraction,
+        )
+    except NonFiniteCostError as exc:
+        _fail(str(exc))
+        return _EXIT_VALIDATION
     try:
         manifest = write_outputs(cfg, outcome, Path(args.out))
     except OSError as exc:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "TrajectorySet",
     "Flow",
     "IterationReport",
+    "NonFiniteCostError",
     "SweepOptions",
     "EquilibriumResult",
     "TwoPhaseResult",
@@ -131,6 +133,10 @@ class Flow:
         first_moment = traj.weight * (traj.x * active).sum(axis=0)
         mean_control = traj.weight * (traj.alpha * active[:, :-1]).sum(axis=0)
         return cls(mass=mass, first_moment=first_moment, mean_control=mean_control)
+
+
+class NonFiniteCostError(ValueError):
+    """A sweep priced a candidate control at a non-finite cost."""
 
 
 @dataclass(frozen=True)
@@ -449,16 +455,21 @@ def sweep_best_reply(
     Otherwise it is taken at the pre-step position, where it is the same for
     every candidate and drops out of the argmin.
 
-    Each particle is visited at most once per step, so everything a decision
-    reads about its own particle is fixed when the step starts; only the
-    running first-moment and mean-control sums carry from one decision to
-    the next. The step's columns are therefore gathered in visit order
-    once, the decisions run on plain floats, and the visitors advance
-    together in one ``_advance`` call when the step's last decision is made.
-    The model's ``state_cost`` is called once per decision when candidates
-    are priced at their landing positions, with the (G,) row of those
-    positions and the running first moment, and ``state_gain`` once per
-    decision otherwise.
+    A step's decisions are made as a block, with the sequential result bit
+    for bit. Within a step only the running mean-control sum passes from one
+    decision to the next: the visit order, the positions and the running
+    first moment are fixed when the step starts, and ``np.add.accumulate``
+    adds in order, as the sequential loop does. So the step guesses that
+    every visitor keeps its previous-sweep control, prices all remaining
+    visitors at once under that guess, and accepts them up to and including
+    the first whose argmin differs from its guess, since none of those read
+    an unaccepted control; the rest are priced again with this pass's
+    argmins as the guesses. The visitors then advance together in one
+    ``_advance`` call. The model's ``state_cost`` is called once per
+    decision when candidates are priced at their landing positions, with
+    the (G,) row of those positions and the running first moment, and
+    ``state_gain`` once per decision otherwise, on the mean control after
+    that decision. A non-finite cost raises ``NonFiniteCostError``.
     """
     n, n_steps = prev.n_particles, prev.n_steps
     w, dt = prev.weight, prev.dt
@@ -470,10 +481,8 @@ def sweep_best_reply(
     noise_scale = 2.0 * math.sqrt(model.diffusion) * math.sqrt(dt)
     g_dt = g * dt
     # the cost of control a is [dt * state cost] + q + s_lin * a, with q the
-    # quadratic term; (q0, a0) opens the scan and ``terms`` continues it
-    (q0, a0), *terms = zip((dt * model.quad_weight * g * g).tolist(), g.tolist())
-    state_cost = model.state_cost
-    state_gain = None if post else model.state_gain
+    # quadratic term, added in that order
+    quad = dt * model.quad_weight * g * g
 
     new_x = np.empty((n, n_steps + 1))
     new_x[:, 0] = prev.x[:, 0]
@@ -490,65 +499,74 @@ def sweep_best_reply(
         prev_alpha_n = prev.alpha[:, step]
         prev_act = prev.exit_step > step
         present = prev_act & cur_active
-        s_x = w * float(prev_x_n[present].sum())
-        s_alpha = w * float(prev_alpha_n[present].sum())
-
         order = perm_rng.permutation(n)
         visits = order[cur_active[order]]
+        m = visits.size
+        if m == 0:
+            new_x[:, step + 1] = cur_x
+            continue
         x_v = cur_x[visits]
         # a visitor the previous sweep had absorbed by now carries no atom:
         # it joins the sums when visited, with a zero control
         seen_v = prev_act[visits]
         own_v = np.where(seen_v, prev_alpha_n[visits], 0.0)
-        rows = x_v[:, None] + g_dt[None, :] if post else [None] * visits.size
-        adopted = []
-        gains = []
-        for xk, seen, atom, own, row in zip(
-            x_v.tolist(), seen_v.tolist(), prev_x_n[visits].tolist(), own_v.tolist(), rows,
-        ):
-            if seen:
-                s_x += w * (xk - atom)
-            else:
-                s_x += w * xk
-                s_alpha += w * own
-            theta = s_alpha if include_self else s_alpha - w * own
-            s_lin = coef_dt * theta
-            # first minimum (strict <), as np.argmin
+        # the mean-control sum as one chain of additions: slot 0 opens it,
+        # slot 2k+1 is visitor k joining (-0.0, which changes no float, when
+        # it already had an atom) and slot 2k+2 the change of its control;
+        # visitor k prices against the running sum before slot 2k+2
+        chain = np.empty(2 * m + 1)
+        chain[0] = w * float(prev_alpha_n[present].sum())
+        chain[1::2] = np.where(seen_v, -0.0, w * own_v)
+        guess = own_v.copy()
+        adopted = np.empty(m)
+        after = np.empty(m)
+        first = 0
+        # overflow shows up as a non-finite cost, refused below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if post:
-                state = state_cost(t_n, row, s_x).tolist()
-                best = dt * state[0] + q0 + s_lin * a0
-                a_new = a0
-                for c, (q, a) in zip(state[1:], terms):
-                    c = dt * c + q + s_lin * a
-                    if c < best:
-                        best = c
-                        a_new = a
+                moved = w * (x_v - np.where(seen_v, prev_x_n[visits], 0.0))
+                s_x = np.add.accumulate(
+                    np.concatenate(([w * float(prev_x_n[present].sum())], moved))
+                )
+                rows = x_v[:, None] + g_dt[None, :]
+                state = map(model.state_cost, repeat(t_n), rows, s_x[1:].tolist())
+                base = dt * np.array(list(state), dtype=float) + quad
             else:
-                best = q0 + s_lin * a0
-                a_new = a0
-                for q, a in terms:
-                    c = q + s_lin * a
-                    if c < best:
-                        best = c
-                        a_new = a
-            # a decision at a step the particle previously did not reach
-            # counts as a strategy change even if the value matches the
-            # zero fill of the stored array
-            if not seen or a_new != own:
-                modifications += 1
-            s_alpha += w * (a_new - own)
-            adopted.append(a_new)
-            if state_gain is not None:
-                gains.append(state_gain(s_alpha))
+                base = np.broadcast_to(quad, (m, g.size))
+            while first < m:
+                chain[2 * first + 2::2] = w * (guess[first:] - own_v[first:])
+                sums = np.add.accumulate(chain[2 * first:])
+                before = sums[1::2]
+                theta = before if include_self else before - w * own_v[first:]
+                cost = base[first:] + (coef_dt * theta)[:, None] * g
+                if not np.isfinite(cost).all():
+                    raise NonFiniteCostError(
+                        f"non-finite cost at step {step} (t = {t_n:g}) in sweep "
+                        f"{sweep_index} of the {'exploratory' if phase == 1 else 'main'} phase"
+                    )
+                # first minimum, as a scan with strict < would pick
+                picked = g[cost.argmin(axis=1)]
+                missed = np.flatnonzero(picked != guess[first:])
+                stop = first + int(missed[0]) + 1 if missed.size else m
+                adopted[first:stop] = picked[: stop - first]
+                after[first:stop] = sums[2 : 2 * (stop - first) + 1 : 2]
+                if missed.size:
+                    # the missed visitor's own change, then resume after it
+                    last = stop - 1
+                    after[last] = before[last - first] + w * (adopted[last] - own_v[last])
+                    chain[2 * stop] = after[last]
+                    guess[stop:] = picked[stop - first:]
+                first = stop
 
-        # no decision reads a landing position, so the step's visitors all
-        # advance together after the last decision
-        a_v = np.array(adopted)
+        # a decision at a step the particle previously did not reach counts
+        # as a strategy change even if the value matches the zero fill of the
+        # stored array
+        modifications += int(np.count_nonzero(~seen_v | (adopted != own_v)))
+        gain = 0.0 if post else np.fromiter(map(model.state_gain, after.tolist()), float, m)
         landed, out = _advance(
-            x_v, 0.0 if state_gain is None else np.array(gains), a_v,
-            noise_scale * xi[visits, step], dt, lo, hi,
+            x_v, gain, adopted, noise_scale * xi[visits, step], dt, lo, hi
         )
-        new_alpha[visits, step] = a_v
+        new_alpha[visits, step] = adopted
         cur_x[visits] = landed
         exited = visits[out]
         new_exit[exited] = step + 1

@@ -499,6 +499,19 @@ def test_cli_run_nan_parameter_exits_1(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+def test_cli_run_overflowing_cost_exits_1(tmp_path, capsys):
+    # a finite eta whose congestion cost overflows to inf: refused when the
+    # sweep prices it, not solved against
+    cfg_path = _mini_evacuation(tmp_path, eta="1e308", n_particles="40")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite cost at step 0 ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_run_unwritable_out_exits_3(tmp_path):
     cfg_path = _mini_refinancing(tmp_path)
     blocker = tmp_path / "blocker"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bestreply.controls import ControlGrid
 from bestreply.engine import (
     EquilibriumResult,
     Flow,
+    NonFiniteCostError,
     SweepOptions,
     TrajectorySet,
     graded_joint_moments,
@@ -268,6 +271,60 @@ def test_refinancing_smoke_run():
     traj = result.trajectories
     live = traj.exit_step[:, None] > np.arange(traj.n_steps)[None, :]
     assert np.all(traj.alpha[live] == 0.0)
+
+
+@pytest.mark.parametrize("model", [evacuation_model(), refinancing_model()],
+                         ids=["post-step", "pre-step"])
+def test_sweep_calls_each_model_hook_once_per_decision(model):
+    # the benchmark's traced gate counts hook calls as decisions: a change
+    # that batches the hooks has to change this test on purpose
+    calls = {"state_cost": 0, "state_gain": 0}
+
+    def counted(name, fn):
+        def hook(*args):
+            calls[name] += 1
+            return fn(*args)
+        return hook
+
+    counting = replace(
+        model,
+        state_cost=counted("state_cost", model.state_cost),
+        state_gain=counted("state_gain", model.state_gain),
+    )
+    lo, hi = model.control_bounds
+    grid = ControlGrid.uniform(lo, hi, 11)
+    ens = init_ensemble(40, model.initial_density, model.domain, grid)
+    xi = make_noise(3, 0, 40, 150)
+    traj = simulate_initial(ens, model, xi, 0.004, 150)
+    for sweep_index in range(1, 5):
+        calls.update(state_cost=0, state_gain=0)
+        traj, _report = sweep_best_reply(
+            traj, counting, grid, seed=3, phase=0, sweep_index=sweep_index, xi=xi,
+            options=SweepOptions(),
+        )
+        decisions = int(traj.exit_step.clip(max=traj.n_steps).sum())
+        priced = "state_cost" if model.state_gain_is_zero else "state_gain"
+        assert decisions > 0
+        assert calls == {"state_cost": 0, "state_gain": 0, priced: decisions}
+
+
+def test_sweep_refuses_a_non_finite_cost():
+    model = evacuation_model()
+    grid = _grid11()
+
+    def nan_past_index_0(t, xq, fm):
+        cost = model.state_cost(t, xq, fm)
+        cost[..., 3] = np.nan
+        return cost
+
+    ens = init_ensemble(20, model.initial_density, model.domain, grid)
+    xi = make_noise(0, 0, 20, 30)
+    traj = simulate_initial(ens, model, xi, 0.004, 30)
+    with pytest.raises(NonFiniteCostError, match="step 0 .* sweep 1 of the main phase"):
+        sweep_best_reply(
+            traj, replace(model, state_cost=nan_past_index_0), grid,
+            seed=0, phase=0, sweep_index=1, xi=xi, options=SweepOptions(),
+        )
 
 
 # ---------------------------------------------------------- flow and values

@@ -169,6 +169,27 @@ def sweep_cases(draw):
     )
 
 
+def _case(model, n_points, theta_self, **run):
+    lo, hi = model.control_bounds
+    grid = ControlGrid.uniform(lo, hi, n_points)
+    return dict(model=model, grid=grid, options=SweepOptions(theta_self=theta_self), **run)
+
+
+# strong coupling: a step's decisions keep overturning the guess that each
+# visitor keeps its control, so the engine prices each step in many passes
+# (about 9 per step for beta = 50, about 25 for M1 = 20)
+@example(case=_case(evacuation_model(EvacuationParams(beta=50.0), sigma=1e-4), 11,
+                    "exclude", n=40, n_steps=60, dt=0.02, seed=7, sweeps=3))
+@example(case=_case(evacuation_model(EvacuationParams(beta=50.0), sigma=1e-4), 11,
+                    "include", n=40, n_steps=60, dt=0.02, seed=7, sweeps=3))
+@example(case=_case(refinancing_model(RefinancingParams(M1=20.0), sigma=1e-4), 11,
+                    "exclude", n=40, n_steps=60, dt=0.02, seed=7, sweeps=3))
+@example(case=_case(refinancing_model(RefinancingParams(M1=20.0), sigma=1e-4), 11,
+                    "include", n=40, n_steps=60, dt=0.02, seed=7, sweeps=3))
+# no noise and long steps: in 35 steps of the later sweeps every visitor is
+# one the previous sweep had already absorbed
+@example(case=_case(evacuation_model(sigma=0.0), 5,
+                    "exclude", n=30, n_steps=60, dt=0.1, seed=0, sweeps=3))
 @settings(max_examples=100, deadline=None)
 @given(sweep_cases())
 def test_engine_matches_reference_sweep(case):
