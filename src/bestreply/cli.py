@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation failure (including a model that prices
 a candidate control at a non-finite cost), 2 run finished without reaching
 a zero-modification equilibrium, 3 I/O problem (unreadable config, unwritable
-output directory, missing artifacts).
+output directory, missing or malformed artifacts).
 """
 
 from __future__ import annotations
@@ -160,6 +160,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return _EXIT_OK if all_ok else _EXIT_VALIDATION
 
 
+def _csv_rows(path: Path, n_fields: int) -> list[list[str]]:
+    """Fields of each data row of a CSV artifact.
+
+    Raises ValueError when the file is not UTF-8 or a row has fewer than
+    ``n_fields`` fields.
+    """
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    for number, row in enumerate(rows, start=2):
+        if len(row) < n_fields:
+            raise ValueError(f"{path.name} line {number} has fewer than {n_fields} fields")
+    return rows
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     manifest = out / "manifest.txt"
@@ -174,6 +187,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         _fail(f"manifest does not parse: {exc}")
         return _EXIT_VALIDATION
+    except OSError as exc:
+        _fail(str(exc))
+        return _EXIT_IO
 
     logs = [iterations]
     if cfg.phase1_enabled:
@@ -181,12 +197,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if not logs[1].exists():
             _fail(f"missing artifact {logs[1]}")
             return _EXIT_IO
-    phase_lines = [log.read_text().splitlines()[1:] for log in logs]
-    iteration_lines = phase_lines[0]
-    mass_lines = mass.read_text().splitlines()[1:]
+    try:
+        phase_rows = [_csv_rows(log, 4) for log in logs]
+        mass_rows = _csv_rows(mass, 2)
+        final_mass = float(mass_rows[-1][1]) if mass_rows else float("nan")
+    except ValueError as exc:
+        _fail(f"malformed artifact in {out}: {exc}")
+        return _EXIT_IO
+    except OSError as exc:
+        _fail(str(exc))
+        return _EXIT_IO
+    iteration_rows = phase_rows[0]
     # as for ``run``: converged only if every phase that ran ended converged
-    converged = all(lines and lines[-1].split(",")[3] == "true" for lines in phase_lines)
-    final_mass = float(mass_lines[-1].split(",")[1]) if mass_lines else float("nan")
+    converged = all(log and log[-1][3] == "true" for log in phase_rows)
 
     rows = [
         ("model", cfg.model),
@@ -194,15 +217,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         ("steps", str(cfg.n_steps)),
         ("dt", "%g" % cfg.dt),
         ("seed", str(cfg.seed)),
-        ("sweeps", str(len(iteration_lines))),
+        ("sweeps", str(len(iteration_rows))),
         ("converged", "true" if converged else "false"),
         ("final mass", "%g" % final_mass),
     ]
-    if iteration_lines:
-        last = iteration_lines[-1].split(",")
-        rows.insert(6, ("final modifications", last[1]))
+    if iteration_rows:
+        rows.insert(6, ("final modifications", iteration_rows[-1][1]))
     if cfg.phase1_enabled:
-        rows.insert(5, ("phase 1 sweeps", str(len(phase_lines[1]))))
+        rows.insert(5, ("phase 1 sweeps", str(len(phase_rows[1]))))
     width = max(len(name) for name, _value in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value}")

@@ -49,6 +49,11 @@ _GEOMETRY_DEFAULTS = {
 }
 
 
+def _count(n: int) -> str:
+    """``%.3g`` of a count, which may be an integer too large for a float."""
+    return f"{n:.3g}" if n < 1e300 else "more than 1e300"
+
+
 class ConfigError(ValueError):
     """Configuration rejected; carries the offending line number if known."""
 
@@ -105,18 +110,19 @@ class RunConfig:
             raise ConfigError("phase1_particles must be at least 1")
         ratio = self.T / self.dt
         particles = max(self.n_particles, self.phase1_particles if self.phase1_enabled else 1)
-        cells = particles * (ratio + 1.0)
+        # a count too large for a float is too large a run at any horizon
+        cells = particles * (ratio + 1.0) if particles < 1e300 else math.inf
         if not cells <= _MAX_TRAJECTORY_CELLS:
             raise ConfigError(
-                f"run too large: {particles} particles x {ratio + 1.0:.6g} time points "
+                f"run too large: {_count(particles)} particles x {ratio + 1.0:.6g} time points "
                 f"= {cells:.3g} trajectory cells, above the limit of {_MAX_TRAJECTORY_CELLS:.3g}"
             )
         # each step prices a (particles, n_alpha) block of controls
         if not particles * self.n_alpha <= _MAX_TRAJECTORY_CELLS:
             raise ConfigError(
-                f"run too large: {particles} particles x {self.n_alpha} controls "
-                f"= {particles * self.n_alpha:.3g} cost cells, above the limit of "
-                f"{_MAX_TRAJECTORY_CELLS:.3g}"
+                f"run too large: {_count(particles)} particles x {_count(self.n_alpha)} "
+                f"controls = {_count(particles * self.n_alpha)} cost cells, above the "
+                f"limit of {_MAX_TRAJECTORY_CELLS:.3g}"
             )
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("T must be an integer multiple of dt (within 1e-9)")
@@ -254,10 +260,15 @@ def _convert(key: str, kind: str, raw: str, line: int):
 def parse_config(path: Union[str, Path]) -> RunConfig:
     """Parse and fully validate a run configuration file.
 
-    Raises OSError if the file cannot be read and ConfigError (with a line
-    number where one applies) for grammar or validation problems.
+    The file is read as UTF-8 whatever the locale. Raises OSError if it
+    cannot be read and ConfigError (with a line number where one applies)
+    for text that is not UTF-8 and for grammar or validation problems.
     """
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("not valid UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
     raw: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

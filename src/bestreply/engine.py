@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controls import ControlGrid
-from .kernels import METRIC_TERMS, weak_star_distance_from_moments
+from .kernels import METRIC_TERMS, monomial_exponents, weak_star_distance_from_moments
 from .models import ModelSpec
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "prune_control_set",
     "value_function_trace",
     "max_greedy_gap",
-    "graded_joint_moments",
     "time_averaged_moments",
     "run_two_phase",
 ]
@@ -56,7 +55,6 @@ __all__ = [
 _PURPOSE_NOISE = 0
 _PURPOSE_PERMUTATION = 1
 _CDF_POINTS = 4097
-_SUM_LANES = 64
 
 
 # --------------------------------------------------------------------------
@@ -177,7 +175,6 @@ class EquilibriumResult:
 class TwoPhaseResult:
     phase1: Optional[EquilibriumResult]
     phase2: EquilibriumResult
-    grid_full: ControlGrid
     grid_pruned: ControlGrid
 
     @property
@@ -352,75 +349,36 @@ def simulate_initial(
 # --------------------------------------------------------------------------
 
 
-def _fixed_order_sum(values: np.ndarray) -> float:
-    """Sum of a 1-d float array whose rounding depends only on its length.
-
-    The values are accumulated row by row into ``_SUM_LANES`` lane totals
-    (element i goes to lane i % _SUM_LANES), which are then added with
-    ``math.fsum``. Unlike ``np.dot`` the result does not depend on the BLAS
-    library, its thread count or the CPU it runs on.
-    """
-    full = values.size - values.size % _SUM_LANES
-    lanes = np.add.reduce(values[:full].reshape(-1, _SUM_LANES), axis=0)
-    lanes[: values.size - full] += values[full:]
-    return math.fsum(lanes.tolist())
-
-
-def graded_joint_moments(
-    x: np.ndarray, alpha: np.ndarray, weights: np.ndarray | float, n_terms: int
-) -> np.ndarray:
-    """First ``n_terms`` graded monomial moments of an atomic (x, alpha) measure.
-
-    ``weights`` holds one weight per atom, or is one weight common to all.
-    Matches the basis ordering of kernels.monomial_exponents for two
-    variables: degree blocks, x-exponent descending within each block. Each
-    moment is an order-fixed sum, so it is the same on every machine.
-    """
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    moments = np.zeros(n_terms)
-    if x.size == 0:
-        return moments
-    max_deg = 0
-    count = 1
-    while count < n_terms:
-        max_deg += 1
-        count += max_deg + 1
-    xp = np.empty((max_deg + 1, x.size))
-    ap = np.empty((max_deg + 1, x.size))
-    xp[0] = 1.0
-    ap[0] = 1.0
-    for e in range(1, max_deg + 1):
-        xp[e] = xp[e - 1] * x
-        ap[e] = ap[e - 1] * alpha
-    terms = np.empty(x.size)
-    k = 0
-    for degree in range(max_deg + 1):
-        for j in range(degree + 1):
-            if k == n_terms:
-                return moments
-            np.multiply(xp[degree - j], ap[j], out=terms)
-            terms *= weights
-            moments[k] = _fixed_order_sum(terms)
-            k += 1
-    return moments
-
-
 def time_averaged_moments(traj: TrajectorySet, n_terms: int) -> np.ndarray:
     """Moments of the trajectory's time-averaged joint measure.
 
     Averages the per-step empirical measures over the decision steps
     0..n_steps-1; absorbed particles drop out of every step at and after
-    their exit.
+    their exit. The moments follow the basis of
+    ``kernels.monomial_exponents(2, n_terms)`` in (x, alpha). Each is a
+    per-step table of axis-0 sums over the particles, as in ``Flow.of``,
+    whose steps are added in order by ``math.fsum``, so it does not depend
+    on BLAS or the CPU.
     """
     n_steps = traj.n_steps
     if n_steps == 0:
         return np.zeros(n_terms)
-    active = traj.exit_step[:, None] > np.arange(n_steps)[None, :]
-    xs = traj.x[:, :n_steps][active]
-    alphas = traj.alpha[active]
-    return graded_joint_moments(xs, alphas, traj.weight / n_steps, n_terms)
+    exponents = monomial_exponents(2, n_terms)
+    # x**i on the live pairs and zero on the dead ones, which every product keeps
+    x_pow = (traj.exit_step[:, None] > np.arange(n_steps)[None, :]).astype(float)
+    term = np.empty_like(x_pow)
+    moments = np.empty(n_terms)
+    # by x exponent, then alpha exponent: each i comes with j = 0, 1, ...
+    for k in np.lexsort((exponents[:, 1], exponents[:, 0])):
+        i, j = exponents[k]
+        if j == 0:
+            if i:
+                x_pow *= traj.x[:, :n_steps]
+            np.copyto(term, x_pow)
+        else:
+            term *= traj.alpha
+        moments[k] = math.fsum(term.sum(axis=0).tolist())
+    return moments * (traj.weight / n_steps)
 
 
 # --------------------------------------------------------------------------
@@ -506,17 +464,16 @@ def sweep_best_reply(
             new_x[:, step + 1] = cur_x
             continue
         x_v = cur_x[visits]
-        # a visitor the previous sweep had absorbed by now carries no atom:
-        # it joins the sums when visited, with a zero control
+        # a visitor the previous sweep had absorbed by now carries no atom;
+        # its stored control there is the zero fill, so it joins the sums
+        # with a zero control
         seen_v = prev_act[visits]
-        own_v = np.where(seen_v, prev_alpha_n[visits], 0.0)
-        # the mean-control sum as one chain of additions: slot 0 opens it,
-        # slot 2k+1 is visitor k joining (-0.0, which changes no float, when
-        # it already had an atom) and slot 2k+2 the change of its control;
-        # visitor k prices against the running sum before slot 2k+2
-        chain = np.empty(2 * m + 1)
+        own_v = prev_alpha_n[visits]
+        # the mean-control sum as one chain of additions: slot 0 opens it and
+        # slot k+1 is the change of visitor k's control; visitor k prices
+        # against the running sum before slot k+1
+        chain = np.empty(m + 1)
         chain[0] = w * float(prev_alpha_n[present].sum())
-        chain[1::2] = np.where(seen_v, -0.0, w * own_v)
         guess = own_v.copy()
         adopted = np.empty(m)
         after = np.empty(m)
@@ -534,9 +491,9 @@ def sweep_best_reply(
             else:
                 base = np.broadcast_to(quad, (m, g.size))
             while first < m:
-                chain[2 * first + 2::2] = w * (guess[first:] - own_v[first:])
-                sums = np.add.accumulate(chain[2 * first:])
-                before = sums[1::2]
+                chain[first + 1:] = w * (guess[first:] - own_v[first:])
+                sums = np.add.accumulate(chain[first:])
+                before = sums[:-1]
                 theta = before if include_self else before - w * own_v[first:]
                 cost = base[first:] + (coef_dt * theta)[:, None] * g
                 if not np.isfinite(cost).all():
@@ -549,12 +506,12 @@ def sweep_best_reply(
                 missed = np.flatnonzero(picked != guess[first:])
                 stop = first + int(missed[0]) + 1 if missed.size else m
                 adopted[first:stop] = picked[: stop - first]
-                after[first:stop] = sums[2 : 2 * (stop - first) + 1 : 2]
+                after[first:stop] = sums[1 : stop - first + 1]
                 if missed.size:
                     # the missed visitor's own change, then resume after it
                     last = stop - 1
                     after[last] = before[last - first] + w * (adopted[last] - own_v[last])
-                    chain[2 * stop] = after[last]
+                    chain[stop] = after[last]
                     guess[stop:] = picked[stop - first:]
                 first = stop
 
@@ -671,17 +628,14 @@ def max_greedy_gap(
     grid: ControlGrid,
     *,
     options: SweepOptions,
-    sample_fraction: float = 0.01,
-    seed: int = 0,
 ) -> float:
-    """Largest one-step regret over a random sample of (particle, step) pairs.
+    """Largest one-step regret over all live (particle, step) pairs.
 
     Freezes the final empirical measures and re-prices every grid control for
-    the sampled pairs where the sweep prices them (see ``sweep_best_reply``);
+    every live pair where the sweep prices them (see ``sweep_best_reply``);
     at an equilibrium the adopted control never loses, so the gap is ~0 (up
     to summation-order rounding).
     """
-    rng = np.random.default_rng(seed)
     g = grid.points
     dt, w = traj.dt, traj.weight
     quad = dt * model.quad_weight * g * g
@@ -691,26 +645,23 @@ def max_greedy_gap(
     flow = Flow.of(traj)
     worst = 0.0
     for step in range(traj.n_steps):
-        active = np.nonzero(traj.exit_step > step)[0]
-        if active.size == 0:
+        live = np.nonzero(traj.exit_step > step)[0]
+        if live.size == 0:
             continue
-        take = active[rng.random(active.size) < sample_fraction]
-        if take.size == 0:
-            continue
-        a_k = traj.alpha[take, step]
+        a_k = traj.alpha[live, step]
         adopted = np.minimum(np.searchsorted(g, a_k), g.size - 1)
         if not np.array_equal(g[adopted], a_k):
             raise ValueError("trajectory control is not on the supplied grid")
         s_alpha = flow.mean_control[step]
-        theta = np.full(take.size, s_alpha) if include_self else s_alpha - w * a_k
+        theta = np.full(live.size, s_alpha) if include_self else s_alpha - w * a_k
         lin = coef_dt * theta[:, None] * g
-        # one (sampled rows x grid) block per step
+        # one (live rows x grid) block per step
         if post:
-            rows = traj.x[take, step][:, None] + g * dt
+            rows = traj.x[live, step][:, None] + g * dt
             cost = dt * model.state_cost(step * dt, rows, flow.first_moment[step]) + quad + lin
         else:
             cost = quad + lin
-        gaps = cost[np.arange(take.size), adopted] - cost.min(axis=1)
+        gaps = cost[np.arange(live.size), adopted] - cost.min(axis=1)
         worst = max(worst, float(gaps.max()))
     return worst
 
@@ -775,8 +726,11 @@ def value_function_trace(
     Backward accumulation of the one-step running costs against the realized
     empirical measures, from zero at the horizon (there is no terminal
     cost); identically zero from a particle's exit time onward. The mean
-    control keeps the sweep's self-inclusion convention so the traces price
-    exactly what the particles optimized.
+    control keeps the sweep's self-inclusion convention. The state cost is
+    taken at the step-start position against ``Flow.first_moment``. For a
+    model the sweep prices post-step (evacuation) that differs from what the
+    particles optimized: the state cost at the landing position against the
+    step's running first moment.
     """
     n, n_steps = traj.n_particles, traj.n_steps
     w, dt = traj.weight, traj.dt
@@ -850,6 +804,5 @@ def run_two_phase(
     return TwoPhaseResult(
         phase1=phase1_result,
         phase2=phase2_result,
-        grid_full=grid,
         grid_pruned=pruned,
     )

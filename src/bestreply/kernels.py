@@ -181,7 +181,7 @@ def weak_star_distance_from_moments(m1: np.ndarray, m2: np.ndarray) -> float:
     """Truncated weak-star distance between two graded moment vectors.
 
     The vectors hold the first (at most METRIC_TERMS) moments of the graded
-    basis, as engine.graded_joint_moments or monomial_moments compute them.
+    basis, as engine.time_averaged_moments or monomial_moments compute them.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from bestreply.cli import main
 from bestreply.config import (
     _KEYS,
+    _REMOVED_KEYS,
     ConfigError,
     RunConfig,
     format_config,
@@ -158,6 +161,44 @@ def test_seed_outside_64_bits_rejected(tmp_path, seed):
     with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)"):
         parse_config(_write(tmp_path, f"model = evacuation\nseed = {seed}\n"))
     assert parse_config(_write(tmp_path, f"model = evacuation\nseed = {2**64 - 1}\n"))
+
+
+_BIG = "1" + "0" * 400  # a count no float can hold
+
+_config_value = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.integers(min_value=-(10**450), max_value=10**450).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["evacuation", "refinancing", "true", "false", "0.5, 1", ""]),
+)
+_config_line = st.one_of(
+    st.tuples(
+        st.sampled_from(sorted(_KEYS) + sorted(_REMOVED_KEYS)) | st.text(max_size=8),
+        _config_value,
+    ).map(lambda kv: f"{kv[0]} = {kv[1]}".encode("utf-8")),
+    st.binary(max_size=6),  # stray bytes, most of them not UTF-8
+)
+_config_bytes = st.builds(
+    lambda head, lines: head + b"\n".join(lines),
+    st.sampled_from([b"", b"model = evacuation\n", b"model = refinancing\n"]),
+    st.lists(_config_line, max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(b"model = evacuation\n# caf\xe9\n")
+@example(f"model = evacuation\nn_particles = {_BIG}\n".encode())
+@given(data=_config_bytes)
+def test_any_config_text_parses_or_raises_config_error(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        cfg = parse_config(path)
+    except ConfigError as exc:
+        assert "\n" not in str(exc)
+    else:
+        assert isinstance(cfg, RunConfig)
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -482,6 +523,10 @@ def test_cli_run_out_of_range_seed_override_exits_1(tmp_path, capsys):
     "n_particles = 100000000",
     f"n_alpha = {10**15}",
     f"n_alpha = {10**22}",
+    pytest.param(f"n_particles = {_BIG}", id="n_particles = 401 digits"),
+    pytest.param(f"n_alpha = {_BIG}", id="n_alpha = 401 digits"),
+    pytest.param(f"phase1_enabled = true\nphase1_particles = {_BIG}",
+                 id="phase1_particles = 401 digits"),
 ])
 def test_cli_run_oversized_run_refused_at_parse(tmp_path, capsys, line):
     # refused before any trajectory or control-grid array is allocated
@@ -490,6 +535,18 @@ def test_cli_run_oversized_run_refused_at_parse(tmp_path, capsys, line):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: run too large:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_non_utf8_config_exits_1(tmp_path, capsys, command):
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(b"model = evacuation\n# caf\xe9\n")
+    out = tmp_path / "o"
+    args = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(cfg_path), *args]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: not valid UTF-8 text\n"
     assert not out.exists()
 
 
@@ -594,6 +651,39 @@ def test_cli_report_agrees_with_run_when_phase1_runs_out(tmp_path, capsys):
     assert rows["final modifications"] == "0"
     (out / "iterations_phase1.csv").unlink()
     assert main(["report", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("artifact, text", [
+    pytest.param("iterations.csv", "sweep,modifications,distribution_change,converged\n1,0,0\n",
+                 id="short iterations row"),
+    pytest.param("mass.csv", "t,total_mass,first_moment,center_of_mass\n0,heavy,0,\n",
+                 id="mass not a float"),
+])
+def test_cli_report_malformed_artifact_exits_3(tmp_path, capsys, artifact, text):
+    cfg_path = _mini_refinancing(tmp_path)
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / artifact).write_text(text)
+    assert main(["report", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed artifact in ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("artifact", ["manifest.txt", "mass.csv"])
+def test_cli_report_unreadable_artifact_exits_3(tmp_path, capsys, artifact):
+    cfg_path = _mini_refinancing(tmp_path)
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / artifact).unlink()
+    (out / artifact).mkdir()
+    assert main(["report", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_evacuation_default_pricing_lets_particles_leave(tmp_path):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bestreply.engine import graded_joint_moments
 from bestreply.kernels import (
     METRIC_TERMS,
     ShapeKernel,
     kernel_density,
     lambert_w0,
     monomial_exponents,
+    monomial_moments,
     weak_star_distance_from_moments,
 )
 
@@ -177,7 +177,8 @@ def test_kernel_density_grid_matches_pointwise():
 
 def _distance(nu1, nu2, k=METRIC_TERMS):
     # nu = (points, weights) with points as rows (x, alpha)
-    moments = [graded_joint_moments(pts[:, 0], pts[:, 1], w, k) for pts, w in (nu1, nu2)]
+    exponents = monomial_exponents(2, k)
+    moments = [monomial_moments(pts, w, exponents) for pts, w in (nu1, nu2)]
     return weak_star_distance_from_moments(*moments)
 
 

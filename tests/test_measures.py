@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from bestreply.engine import graded_joint_moments
-from bestreply.kernels import weak_star_distance_from_moments
+from bestreply.kernels import (
+    monomial_exponents,
+    monomial_moments,
+    weak_star_distance_from_moments,
+)
 from bestreply.measures import (
     EmpiricalJointMeasure,
     first_moment,
@@ -168,5 +171,9 @@ def test_monotonicity_depends_on_time_argument():
 def test_measure_plugs_into_weak_star_distance():
     nu1 = measure([0.5], [0.0], [1.0])
     nu2 = measure([0.6], [0.0], [1.0])
-    m1, m2 = (graded_joint_moments(nu.x, nu.alpha, nu.w, 3) for nu in (nu1, nu2))
+    exponents = monomial_exponents(2, 3)
+    m1, m2 = (
+        monomial_moments(np.column_stack([nu.x, nu.alpha]), nu.w, exponents)
+        for nu in (nu1, nu2)
+    )
     assert weak_star_distance_from_moments(m1, m2) == pytest.approx(1.0 / 44.0, rel=1e-12)
