@@ -14,12 +14,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, parse_config
 from .controls import ControlParams, validate_parameters
 from .engine import NonFiniteCostError, run_two_phase
-from .measures import EmpiricalJointMeasure, monotonicity_check
 from .outputs import write_outputs
 
 _EXIT_OK = 0
@@ -98,19 +95,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _EXIT_OK if outcome.converged else _EXIT_NOT_CONVERGED
 
 
-def _random_measure(rng: np.random.Generator, cfg: RunConfig) -> EmpiricalJointMeasure:
-    n = int(rng.integers(2, 12))
-    x = rng.uniform(cfg.domain_lo, cfg.domain_hi, n)
-    alpha = rng.uniform(cfg.control_lo, cfg.control_hi, n)
-    w = rng.uniform(0.1, 1.0, n)
-    w = w / w.sum() * rng.uniform(0.3, 1.0)
-    return EmpiricalJointMeasure(
-        x=x, alpha=alpha, w=w,
-        domain=(cfg.domain_lo, cfg.domain_hi),
-        control_bounds=(cfg.control_lo, cfg.control_hi),
-    )
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg, rc = _load_config(args.config)
     if cfg is None:
@@ -137,21 +121,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
         checks.append(("contraction gates", report.passed, detail))
 
-    # coupling-term monotonicity on random sub-probability measure pairs:
-    # the measure-dependent cost term must never decrease against the
-    # difference of the measures it is integrated with
-    rng = np.random.default_rng(0)
-    integrand = model.lagrangian if cfg.model == "refinancing" else model.interaction
-    worst = 0.0
-    for _ in range(40):
-        nu1 = _random_measure(rng, cfg)
-        nu2 = _random_measure(rng, cfg)
-        value = monotonicity_check(integrand, nu1, nu2, 0.0)
-        worst = min(worst, value)
+    coef = model.coupling_coef
     checks.append((
         "coupling monotonicity",
-        worst >= -1e-12,
-        f"worst signed integral {worst:.3g}",
+        coef >= 0.0,
+        f"integral = coupling_coef*(theta1-theta2)^2, coupling_coef {coef:.6g}",
     ))
 
     all_ok = all(ok for _name, ok, _detail in checks)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .controls import ControlGrid
-from .engine import SweepOptions
+from .engine import SweepOptions, initial_cdf
 from .models import (
     EvacuationParams,
     ModelSpec,
@@ -128,10 +128,11 @@ class RunConfig:
             raise ConfigError("T must be an integer multiple of dt (within 1e-9)")
         if self.n_alpha < 2:
             raise ConfigError("n_alpha must be at least 2")
-        if not self.domain_lo < self.domain_hi:
-            raise ConfigError("domain_lo must be below domain_hi")
-        if not self.control_lo < self.control_hi:
-            raise ConfigError("control_lo must be below control_hi")
+        # a width that overflows to inf leaves no finite grid on the interval
+        if not 0.0 < self.domain_hi - self.domain_lo < math.inf:
+            raise ConfigError("domain_lo must be below domain_hi, by a finite width")
+        if not 0.0 < self.control_hi - self.control_lo < math.inf:
+            raise ConfigError("control_lo must be below control_hi, by a finite width")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.sigma < 0.0:
@@ -160,15 +161,19 @@ class RunConfig:
                 params = EvacuationParams(
                     eta=self.eta, beta=self.beta, eps=self.eps, softening=self.softening
                 )
-                return evacuation_model(
+                model = evacuation_model(
                     params, domain=domain, control_bounds=bounds, sigma=self.sigma
                 )
-            params = RefinancingParams(M1=self.m1, eps=self.eps)
-            return refinancing_model(
-                params, domain=domain, control_bounds=bounds, sigma=self.sigma
-            )
+            else:
+                params = RefinancingParams(M1=self.m1, eps=self.eps)
+                model = refinancing_model(
+                    params, domain=domain, control_bounds=bounds, sigma=self.sigma
+                )
+            # a domain that misses the initial density has no particle to place
+            initial_cdf(model.initial_density, model.domain)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        return model
 
     def build_grid(self) -> ControlGrid:
         return ControlGrid.uniform(self.control_lo, self.control_hi, self.n_alpha)

@@ -359,7 +359,8 @@ def validate_parameters(
 
     m = params.M
     eps = params.eps
-    margin = 2.0 * eps - 6.0 * m**3 - 9.0 * m**2 - 3.0 * m
+    # products, not powers: a huge M overflows to inf and fails the gates
+    margin = 2.0 * eps - 6.0 * m * m * m - 9.0 * m * m - 3.0 * m
     denom = 2.0 * eps - lip_phi_prime * m * m
     bound = 1.0 / ((3.0 + 3.0 * m) * (1.0 + 2.0 * m) * m)
     lipschitz = math.inf if denom <= 0.0 else 1.0 / denom

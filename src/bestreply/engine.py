@@ -40,6 +40,7 @@ __all__ = [
     "TwoPhaseResult",
     "make_noise",
     "initial_controls",
+    "initial_cdf",
     "init_ensemble",
     "simulate_initial",
     "sweep_best_reply",
@@ -233,21 +234,12 @@ def initial_controls(
     return np.where(toward_lower, grid.points[0], grid.points[-1])
 
 
-def init_ensemble(
-    n_particles: int,
+def initial_cdf(
     initial_density: Callable[[np.ndarray], np.ndarray],
     domain: tuple[float, float],
-    grid: ControlGrid,
-) -> Ensemble:
-    """Equal-weight particles placed by stratified inverse-CDF sampling.
-
-    The density is integrated on a fine fixed grid; particle k sits at the
-    quantile (k + 1/2) / N, which is deterministic, spreads particles evenly
-    through the mass, and keeps the empirical mean within O(1/N) of the true
-    one. Initial controls follow the nearest-boundary rule.
-    """
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(xs, cdf)``, the density's normalised CDF on a fine fixed grid;
+    ValueError unless the density is finite, non-negative and has mass."""
     lo, hi = domain
     xs = np.linspace(lo, hi, _CDF_POINTS)
     f = np.asarray(initial_density(xs), dtype=float)
@@ -258,8 +250,26 @@ def init_ensemble(
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(xs))])
     total = cdf[-1]
     if not total > 0.0:
-        raise ValueError("initial density must have positive total mass")
-    cdf /= total
+        raise ValueError(f"initial density is zero at all {xs.size} grid points of [{lo:g}, {hi:g}]")
+    return xs, cdf / total
+
+
+def init_ensemble(
+    n_particles: int,
+    initial_density: Callable[[np.ndarray], np.ndarray],
+    domain: tuple[float, float],
+    grid: ControlGrid,
+) -> Ensemble:
+    """Equal-weight particles placed by stratified inverse-CDF sampling.
+
+    The density is integrated by ``initial_cdf``; particle k sits at the
+    quantile (k + 1/2) / N, which is deterministic, spreads particles evenly
+    through the mass, and keeps the empirical mean within O(1/N) of the true
+    one. Initial controls follow the nearest-boundary rule.
+    """
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
+    xs, cdf = initial_cdf(initial_density, domain)
     quantiles = (np.arange(n_particles) + 0.5) / n_particles
     x0 = np.interp(quantiles, cdf, xs)
     alpha0 = initial_controls(x0, domain, grid)
@@ -439,8 +449,10 @@ def sweep_best_reply(
     noise_scale = 2.0 * math.sqrt(model.diffusion) * math.sqrt(dt)
     g_dt = g * dt
     # the cost of control a is [dt * state cost] + q + s_lin * a, with q the
-    # quadratic term, added in that order
-    quad = dt * model.quad_weight * g * g
+    # quadratic term, added in that order; an overflow of q shows up as the
+    # non-finite cost refused below
+    with np.errstate(over="ignore"):
+        quad = dt * model.quad_weight * g * g
 
     new_x = np.empty((n, n_steps + 1))
     new_x[:, 0] = prev.x[:, 0]
@@ -638,7 +650,8 @@ def max_greedy_gap(
     """
     g = grid.points
     dt, w = traj.dt, traj.weight
-    quad = dt * model.quad_weight * g * g
+    with np.errstate(over="ignore"):
+        quad = dt * model.quad_weight * g * g
     coef_dt = dt * model.coupling_coef
     include_self = options.theta_self == "include"
     post = model.state_gain_is_zero

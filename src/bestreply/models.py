@@ -8,9 +8,11 @@ engine's fast path exploits:
                               + coupling_coef * a * theta(mu) + quad_weight * a^2
 
 where first_moment(mu) is the raw integral of the position against the live
-measure and theta(mu) its mean control. ``ModelSpec`` carries the structured
-pieces together with the scalar ``lagrangian`` closure that evaluates them
-against an explicit measure.
+measure and theta(mu) its mean control. ``ModelSpec`` holds these pieces as
+array hooks and constants, which are the only definition of a model's cost.
+The coupling term integrates against a measure difference nu1 - nu2 to
+coupling_coef * (theta(nu1) - theta(nu2))^2, so it is monotone exactly when
+coupling_coef >= 0.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import EmpiricalJointMeasure, first_moment, theta
-
 __all__ = [
     "ModelSpec",
     "EvacuationParams",
     "RefinancingParams",
-    "evacuation_lagrangian",
-    "refinancing_lagrangian",
     "evacuation_model",
     "refinancing_model",
 ]
@@ -58,7 +56,6 @@ class ModelSpec:
     state_gain: Callable[[float], float]
     state_gain_is_zero: bool
     initial_density: Callable[[np.ndarray], np.ndarray]
-    params: object
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.diffusion) and self.diffusion >= 0.0):
@@ -69,20 +66,6 @@ class ModelSpec:
             raise ValueError("control bounds must satisfy lo < hi")
         if self.quad_weight < 0.0:
             raise ValueError("quadratic control weight must be non-negative")
-
-    # -- measure-facing closures (the generic contract) ---------------------
-
-    def lagrangian(
-        self, t: float, x: float, alpha: float, mu: EmpiricalJointMeasure
-    ) -> float:
-        state = float(self.state_cost(t, np.asarray([x], dtype=float), first_moment(mu))[0])
-        return state + self.interaction(t, x, alpha, mu) + self.quad_weight * alpha * alpha
-
-    def interaction(
-        self, t: float, x: float, alpha: float, mu: EmpiricalJointMeasure
-    ) -> float:
-        """The measure-coupled cost term alone (the monotone part)."""
-        return self.coupling_coef * alpha * theta(mu)
 
 
 # --------------------------------------------------------------------------
@@ -110,20 +93,6 @@ class EvacuationParams:
             raise ValueError("softening must be positive")
 
 
-def _evac_state_cost(params: EvacuationParams, xq: np.ndarray, fm) -> np.ndarray:
-    return params.eta / (np.abs(fm - xq) + params.softening)
-
-
-def evacuation_lagrangian(
-    t: float, x: float, alpha: float, mu: EmpiricalJointMeasure, params: EvacuationParams
-) -> float:
-    """Congestion around the population's first moment plus alignment and
-    quadratic control costs."""
-    xq = np.asarray([x], dtype=float)
-    congestion = float(_evac_state_cost(params, xq, first_moment(mu))[0])
-    return congestion + params.beta * alpha * theta(mu) + params.eps * alpha * alpha
-
-
 def _evacuation_initial_density(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return np.where((x > 0.5) & (x < 1.0), 2.0, 0.0)
@@ -145,11 +114,10 @@ def evacuation_model(
         control_bounds=control_bounds,
         quad_weight=p.eps,
         coupling_coef=p.beta,
-        state_cost=lambda t, xq, fm: _evac_state_cost(p, xq, fm),
+        state_cost=lambda t, xq, fm: p.eta / (np.abs(fm - xq) + p.softening),
         state_gain=lambda th: 0.0,
         state_gain_is_zero=True,
         initial_density=_evacuation_initial_density,
-        params=p,
     )
 
 
@@ -191,14 +159,6 @@ class RefinancingParams:
             object.__setattr__(self, "ell", _default_state_cost)
 
 
-def refinancing_lagrangian(
-    t: float, x: float, alpha: float, mu: EmpiricalJointMeasure, params: RefinancingParams
-) -> float:
-    """State cost plus mean-control alignment and quadratic control costs."""
-    state = float(np.asarray(params.ell(t, np.asarray([x], dtype=float)), dtype=float).reshape(-1)[0])
-    return state + params.M1 * alpha * theta(mu) + params.eps * alpha * alpha
-
-
 def _refinancing_initial_density(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return np.where((x > -0.5) & (x < 0.5), 1.0, 0.0)
@@ -224,5 +184,4 @@ def refinancing_model(
         state_gain=lambda th: 1.0 + p.rho(th),
         state_gain_is_zero=False,
         initial_density=_refinancing_initial_density,
-        params=p,
     )

@@ -29,9 +29,9 @@ from bestreply.engine import (
     verify_equilibrium,
 )
 from bestreply.kernels import lambert_w0
-from bestreply.measures import EmpiricalJointMeasure, monotonicity_check
 from bestreply.models import evacuation_model
 from bestreply.outputs import write_outputs
+from monotone import monotonicity_integral, random_atoms
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_MASS_SHA256 = "8f59dd5ce29813a84db7cbeddb56c05d1ce116e1d79bc7411fb527a846f3b77b"
@@ -76,17 +76,6 @@ def desk(tmp_path_factory):
     run.out = tmp_path_factory.mktemp("desk_run")
     write_outputs(cfg, run.outcome, run.out)
     return run
-
-
-def _random_measure(rng, domain, control_bounds):
-    n = int(rng.integers(2, 12))
-    x = rng.uniform(domain[0], domain[1], n)
-    alpha = rng.uniform(control_bounds[0], control_bounds[1], n)
-    w = rng.uniform(0.1, 1.0, n)
-    w = w / w.sum() * rng.uniform(0.3, 1.0)
-    return EmpiricalJointMeasure(
-        x=x, alpha=alpha, w=w, domain=domain, control_bounds=control_bounds
-    )
 
 
 # criterion 1 ---------------------------------------------------------------
@@ -163,16 +152,18 @@ def test_c4_monotonicity_suites():
     rng = np.random.default_rng(11)
     worst_refi = 0.0
     for _ in range(200):
-        nu1 = _random_measure(rng, refinancing.domain, refinancing.control_bounds)
-        nu2 = _random_measure(rng, refinancing.domain, refinancing.control_bounds)
-        worst_refi = min(worst_refi, monotonicity_check(refinancing.lagrangian, nu1, nu2, 0.0))
+        nu1 = random_atoms(rng, refinancing.domain, refinancing.control_bounds)
+        nu2 = random_atoms(rng, refinancing.domain, refinancing.control_bounds)
+        worst_refi = min(worst_refi, monotonicity_integral(refinancing, nu1, nu2))
 
     rng = np.random.default_rng(12)
     worst_evac = 0.0
     for _ in range(200):
-        nu1 = _random_measure(rng, evacuation.domain, evacuation.control_bounds)
-        nu2 = _random_measure(rng, evacuation.domain, evacuation.control_bounds)
-        worst_evac = min(worst_evac, monotonicity_check(evacuation.interaction, nu1, nu2, 0.0))
+        nu1 = random_atoms(rng, evacuation.domain, evacuation.control_bounds)
+        nu2 = random_atoms(rng, evacuation.domain, evacuation.control_bounds)
+        worst_evac = min(
+            worst_evac, monotonicity_integral(evacuation, nu1, nu2, state_cost=False)
+        )
 
     elapsed = time.perf_counter() - start
     _line(
@@ -325,9 +316,9 @@ def test_c8_refinancing_smoke():
     rng = np.random.default_rng(21)
     worst = 0.0
     for _ in range(200):
-        nu1 = _random_measure(rng, run.model.domain, run.model.control_bounds)
-        nu2 = _random_measure(rng, run.model.domain, run.model.control_bounds)
-        worst = min(worst, monotonicity_check(run.model.lagrangian, nu1, nu2, 0.0))
+        nu1 = random_atoms(rng, run.model.domain, run.model.control_bounds)
+        nu2 = random_atoms(rng, run.model.domain, run.model.control_bounds)
+        worst = min(worst, monotonicity_integral(run.model, nu1, nu2))
     _line(
         "8 refinancing smoke",
         run.outcome.converged

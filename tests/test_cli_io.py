@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -569,6 +570,51 @@ def test_cli_run_overflowing_cost_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_run_overflowing_control_grid_is_one_line(tmp_path, capsys):
+    # a^2 overflows on the grid points; that surfaces as the refused
+    # non-finite cost, with no numpy warning ahead of it
+    cfg_path = _mini_refinancing(tmp_path, control_lo="-1e300", control_hi="1e300")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite cost at step 0 ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["domain", "control"])
+def test_cli_run_infinite_width_refused_at_parse(tmp_path, capsys, side):
+    # each bound is a finite float, but hi - lo overflows
+    cfg_path = _mini_evacuation(tmp_path, **{f"{side}_lo": "-1.7e308", f"{side}_hi": "1.7e308"})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {side}_lo must be below {side}_hi, by a finite width\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("mini, key, value", [
+    pytest.param(_mini_evacuation, "domain_hi", "0.4", id="evacuation domain_hi = 0.4"),
+    pytest.param(_mini_refinancing, "domain_lo", "0.5", id="refinancing domain_lo = 0.5"),
+])
+def test_cli_domain_missing_initial_density_exits_1(tmp_path, capsys, command, mini, key, value):
+    cfg_path = mini(tmp_path, **{key: value})
+    out = tmp_path / "o"
+    args = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(cfg_path), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: initial density is zero at all 4097 grid points of [")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_run_unwritable_out_exits_3(tmp_path):
     cfg_path = _mini_refinancing(tmp_path)
     blocker = tmp_path / "blocker"
@@ -608,6 +654,12 @@ def test_cli_validate_gate_violation_exits_1(tmp_path, capsys):
     cfg_path = _write(tmp_path, text)
     assert main(["validate", "--config", str(cfg_path)]) == 1
     assert "fail" in capsys.readouterr().out.lower()
+
+
+def test_cli_validate_huge_control_bounds_fail_the_gates(tmp_path, capsys):
+    cfg_path = _mini_refinancing(tmp_path, control_lo="-1e300", control_hi="1e300")
+    assert main(["validate", "--config", str(cfg_path)]) == 1
+    assert "FAIL contraction gates: violated: " in capsys.readouterr().out
 
 
 def test_cli_validate_error_codes(tmp_path):

@@ -87,7 +87,6 @@ def _best_response(costs):
         state_gain=lambda th: 0.0,
         state_gain_is_zero=True,
         initial_density=lambda x: np.ones_like(x),
-        params=None,
     )
     prev = TrajectorySet(x=np.full((1, 2), 0.5), alpha=np.zeros((1, 1)),
                          exit_step=np.array([2]), weight=1.0, dt=1.0)

@@ -56,7 +56,6 @@ def _constant_cost_model(rate=20.0):
         state_gain=lambda th: 0.0,
         state_gain_is_zero=True,
         initial_density=lambda x: np.ones_like(x),
-        params=None,
     )
 
 

@@ -5,72 +5,58 @@ import pytest
 
 from bestreply.controls import ControlParams, validate_parameters
 from bestreply.engine import simulate_controls
-from bestreply.measures import (
-    EmpiricalJointMeasure,
-    first_moment,
-    monotonicity_check,
-    theta,
-)
 from bestreply.models import (
     EvacuationParams,
     RefinancingParams,
-    evacuation_lagrangian,
     evacuation_model,
-    refinancing_lagrangian,
     refinancing_model,
 )
+from monotone import monotonicity_integral, random_atoms
+
+EVAC_BOXES = ((0.0, 1.0), (-0.2, 0.2))
+REFI_BOXES = ((-1.0, 1.0), (-0.05, 0.05))
 
 
-def _measure(x, alpha, w, domain=(0.0, 1.0), bounds=(-0.2, 0.2)):
-    return EmpiricalJointMeasure(
-        x=np.asarray(x, dtype=float),
-        alpha=np.asarray(alpha, dtype=float),
-        w=np.asarray(w, dtype=float),
-        domain=domain,
-        control_bounds=bounds,
-    )
+def _atoms(x, alpha, w):
+    return tuple(np.asarray(v, dtype=float) for v in (x, alpha, w))
 
 
-def _random_measure(rng, n=None, domain=(0.0, 1.0), bounds=(-0.2, 0.2)):
-    n = n or int(rng.integers(2, 12))
-    lo, hi = domain
-    x = rng.uniform(lo, hi, n)
-    a = rng.uniform(bounds[0], bounds[1], n)
-    w = rng.uniform(0.1, 1.0, n)
-    w = w / w.sum() * rng.uniform(0.3, 1.0)
-    return _measure(x, a, w, domain=domain, bounds=bounds)
+def _cost(model, t, x, alpha, atoms):
+    """The running cost at one (x, alpha) against the atoms, from the array
+    hooks the engine prices with."""
+    xs, alphas, w = atoms
+    state = float(model.state_cost(t, np.array([x]), float(np.dot(w, xs)))[0])
+    theta = float(np.dot(w, alphas))
+    return state + model.coupling_coef * alpha * theta + model.quad_weight * alpha * alpha
 
 
 # ------------------------------------------------------------- evacuation
 
 def test_evacuation_cost_at_first_moment():
-    params = EvacuationParams(eta=4.0, beta=1.0, eps=0.5, softening=0.2)
-    mu = _measure([0.75], [0.0], [1.0])
-    out = evacuation_lagrangian(0.0, 0.75, 0.0, mu, params)
+    model = evacuation_model(EvacuationParams(eta=4.0, beta=1.0, eps=0.5, softening=0.2))
+    out = _cost(model, 0.0, 0.75, 0.0, _atoms([0.75], [0.0], [1.0]))
     assert out == pytest.approx(20.0, rel=1e-12)
 
 
 def test_evacuation_cost_plug_in():
-    params = EvacuationParams(eta=4.0, beta=1.0, eps=0.5, softening=0.2)
-    mu = _measure([0.75], [0.1], [1.0])
-    out = evacuation_lagrangian(0.0, 0.55, 0.2, mu, params)
+    model = evacuation_model(EvacuationParams(eta=4.0, beta=1.0, eps=0.5, softening=0.2))
+    out = _cost(model, 0.0, 0.55, 0.2, _atoms([0.75], [0.1], [1.0]))
     assert out == pytest.approx(10.04, rel=1e-12)
 
 
 def test_evacuation_cost_pure_quadratic():
-    params = EvacuationParams(eta=0.0, beta=0.0, eps=0.5, softening=0.2)
-    mu = _measure([0.3], [0.1], [0.8])
-    out = evacuation_lagrangian(0.0, 0.4, -0.2, mu, params)
+    model = evacuation_model(EvacuationParams(eta=0.0, beta=0.0, eps=0.5, softening=0.2))
+    out = _cost(model, 0.0, 0.4, -0.2, _atoms([0.3], [0.1], [0.8]))
     assert out == pytest.approx(0.5 * 0.04, rel=1e-14)
 
 
 def test_evacuation_cost_finite_everywhere():
-    params = EvacuationParams()
-    mu = _measure([0.5, 0.75], [0.2, -0.1], [0.4, 0.5])
-    fm = float(np.dot(mu.w, mu.x))
+    model = evacuation_model()
+    atoms = _atoms([0.5, 0.75], [0.2, -0.1], [0.4, 0.5])
+    fm = float(np.dot(atoms[2], atoms[0]))
     for x in np.linspace(0.0, 1.0, 21).tolist() + [fm]:
         for a in np.linspace(-0.2, 0.2, 11):
-            assert math.isfinite(evacuation_lagrangian(0.0, x, a, mu, params))
+            assert math.isfinite(_cost(model, 0.0, x, a, atoms))
 
 
 # ------------------------------------------------------------ refinancing
@@ -101,23 +87,26 @@ def test_refinancing_drift_identity_rate():
 
 
 def test_refinancing_cost_quadratic_only():
-    params = RefinancingParams(M1=0.1, eps=0.5, ell=lambda t, x: np.zeros_like(np.asarray(x, float)))
-    mu = _measure([0.0], [0.0], [1.0], domain=(-1.0, 1.0), bounds=(-0.05, 0.05))
-    out = refinancing_lagrangian(0.0, 0.3, 0.1, mu, params)
+    model = refinancing_model(
+        RefinancingParams(M1=0.1, eps=0.5, ell=lambda t, x: np.zeros_like(np.asarray(x, float)))
+    )
+    out = _cost(model, 0.0, 0.3, 0.1, _atoms([0.0], [0.0], [1.0]))
     assert out == pytest.approx(0.005, rel=1e-14)
 
 
 def test_refinancing_cost_plug_in():
-    params = RefinancingParams(M1=0.1, eps=0.5, ell=lambda t, x: np.zeros_like(np.asarray(x, float)))
-    mu = _measure([0.0], [-0.2], [1.0], domain=(-1.0, 1.0), bounds=(-0.2, 0.2))
-    out = refinancing_lagrangian(0.0, 0.3, 0.2, mu, params)
+    model = refinancing_model(
+        RefinancingParams(M1=0.1, eps=0.5, ell=lambda t, x: np.zeros_like(np.asarray(x, float)))
+    )
+    out = _cost(model, 0.0, 0.3, 0.2, _atoms([0.0], [-0.2], [1.0]))
     assert out == pytest.approx(0.016, rel=1e-12)
 
 
 def test_refinancing_cost_state_term():
-    params = RefinancingParams(M1=0.1, eps=0.5, ell=lambda t, x: np.asarray(x, float) + 0.0)
-    mu = _measure([0.0], [0.1], [1.0], domain=(-1.0, 1.0), bounds=(-0.2, 0.2))
-    out = refinancing_lagrangian(0.0, 0.3, 0.0, mu, params)
+    model = refinancing_model(
+        RefinancingParams(M1=0.1, eps=0.5, ell=lambda t, x: np.asarray(x, float) + 0.0)
+    )
+    out = _cost(model, 0.0, 0.3, 0.0, _atoms([0.0], [0.1], [1.0]))
     assert out == pytest.approx(0.3, rel=1e-14)
 
 
@@ -125,75 +114,59 @@ def test_refinancing_cost_state_term():
 
 def test_both_costs_strictly_convex_in_control():
     rng = np.random.default_rng(11)
-    evac = EvacuationParams()
-    refi = RefinancingParams()
-    mu_e = _random_measure(rng)
-    mu_r = _random_measure(rng, domain=(-1.0, 1.0), bounds=(-0.05, 0.05))
+    evac = evacuation_model()
+    refi = refinancing_model()
+    atoms_e = random_atoms(rng, *EVAC_BOXES)
+    atoms_r = random_atoms(rng, *REFI_BOXES)
     h = 0.04
     for a in np.linspace(-0.16, 0.16, 9):
         x = float(rng.uniform(0.1, 0.9))
-        second = (
-            evacuation_lagrangian(0.0, x, a + h, mu_e, evac)
-            - 2.0 * evacuation_lagrangian(0.0, x, a, mu_e, evac)
-            + evacuation_lagrangian(0.0, x, a - h, mu_e, evac)
-        )
-        assert second == pytest.approx(2.0 * evac.eps * h * h, rel=1e-9)
-        second_r = (
-            refinancing_lagrangian(0.0, x, a + h, mu_r, refi)
-            - 2.0 * refinancing_lagrangian(0.0, x, a, mu_r, refi)
-            + refinancing_lagrangian(0.0, x, a - h, mu_r, refi)
-        )
-        assert second_r == pytest.approx(2.0 * refi.eps * h * h, rel=1e-9)
+        for model, atoms in ((evac, atoms_e), (refi, atoms_r)):
+            second = (
+                _cost(model, 0.0, x, a + h, atoms)
+                - 2.0 * _cost(model, 0.0, x, a, atoms)
+                + _cost(model, 0.0, x, a - h, atoms)
+            )
+            assert second == pytest.approx(2.0 * model.quad_weight * h * h, rel=1e-9)
 
 
 # ------------------------------------------------------------ monotonicity
 
-def test_interaction_monotonicity_evacuation():
-    model = evacuation_model()
-    rng = np.random.default_rng(19)
-    for _ in range(200):
-        nu1 = _random_measure(rng)
-        nu2 = _random_measure(rng)
-        val = monotonicity_check(model.interaction, nu1, nu2, 0.0)
+def _assert_coupling_identity(model, rng, boxes, n_pairs, state_cost):
+    # the integral is exactly the closed form that ``validate`` reports
+    for _ in range(n_pairs):
+        nu1 = random_atoms(rng, *boxes)
+        nu2 = random_atoms(rng, *boxes)
+        val = monotonicity_integral(model, nu1, nu2, state_cost=state_cost)
         assert val >= -1e-12
-        dth = theta(nu1) - theta(nu2)
+        dth = np.dot(nu1[2], nu1[1]) - np.dot(nu2[2], nu2[1])
         assert val == pytest.approx(model.coupling_coef * dth * dth, rel=1e-9, abs=1e-13)
+
+
+def test_interaction_monotonicity_evacuation():
+    _assert_coupling_identity(evacuation_model(), np.random.default_rng(19), EVAC_BOXES, 200,
+                              state_cost=False)
 
 
 def test_interaction_monotonicity_refinancing():
-    model = refinancing_model()
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        nu1 = _random_measure(rng, domain=(-1.0, 1.0), bounds=(-0.05, 0.05))
-        nu2 = _random_measure(rng, domain=(-1.0, 1.0), bounds=(-0.05, 0.05))
-        val = monotonicity_check(model.interaction, nu1, nu2, 0.0)
-        assert val >= -1e-12
-        dth = theta(nu1) - theta(nu2)
-        assert val == pytest.approx(model.coupling_coef * dth * dth, rel=1e-9, abs=1e-13)
+    _assert_coupling_identity(refinancing_model(), np.random.default_rng(23), REFI_BOXES, 200,
+                              state_cost=False)
 
 
 def test_full_refinancing_lagrangian_is_monotone():
     # the state cost and quadratic terms carry no measure dependence, so the
     # full running cost inherits the interaction term's monotonicity
-    model = refinancing_model()
-    rng = np.random.default_rng(29)
-    for _ in range(50):
-        nu1 = _random_measure(rng, domain=(-1.0, 1.0), bounds=(-0.05, 0.05))
-        nu2 = _random_measure(rng, domain=(-1.0, 1.0), bounds=(-0.05, 0.05))
-        val = monotonicity_check(model.lagrangian, nu1, nu2, 0.0)
-        dth = theta(nu1) - theta(nu2)
-        assert val == pytest.approx(model.coupling_coef * dth * dth, rel=1e-9, abs=1e-13)
+    _assert_coupling_identity(refinancing_model(), np.random.default_rng(29), REFI_BOXES, 50,
+                              state_cost=True)
 
 
 def test_evacuation_congestion_breaks_monotonicity():
     # the first-moment congestion cost is not monotone in the measure, even
     # for mass-decay-ordered pairs: monotonicity holds for the interaction
     # coupling only, which is what the acceptance route checks
-    model = evacuation_model()
-    nu1 = _measure([0.1, 0.9], [0.0, 0.0], [0.5, 0.5])
-    nu2 = _measure([0.1, 0.9], [0.0, 0.0], [0.2, 0.4])
-    val = monotonicity_check(model.lagrangian, nu1, nu2, 0.0)
-    assert val < -1e-3
+    nu1 = _atoms([0.1, 0.9], [0.0, 0.0], [0.5, 0.5])
+    nu2 = _atoms([0.1, 0.9], [0.0, 0.0], [0.2, 0.4])
+    assert monotonicity_integral(evacuation_model(), nu1, nu2) < -1e-3
 
 
 # -------------------------------------------------------- contraction gates
@@ -201,13 +174,13 @@ def test_evacuation_congestion_breaks_monotonicity():
 def test_refinancing_defaults_pass_contraction_gates():
     model = refinancing_model()
     params = ControlParams(
-        M1=model.params.M1,
+        M1=model.coupling_coef,
         M2=0.0,
-        eps=model.params.eps,
+        eps=model.quad_weight,
         M=max(abs(b) for b in model.control_bounds),
     )
     report = validate_parameters(
-        params, lip_phi_prime=0.0, sup_phi_prime=model.params.M1
+        params, lip_phi_prime=0.0, sup_phi_prime=model.coupling_coef
     )
     assert report.passed
 
@@ -215,42 +188,46 @@ def test_refinancing_defaults_pass_contraction_gates():
 # ----------------------------------------------------- ModelSpec interface
 
 def test_evacuation_spec_matches_free_functions():
+    # the hooks against the running cost written out from the parameters
     params = EvacuationParams()
     model = evacuation_model(params)
     rng = np.random.default_rng(31)
     for _ in range(20):
-        mu = _random_measure(rng)
+        atoms = random_atoms(rng, *EVAC_BOXES)
         t = float(rng.uniform(0, 4))
         x = float(rng.uniform(0, 1))
         a = float(rng.uniform(-0.2, 0.2))
-        assert model.lagrangian(t, x, a, mu) == pytest.approx(
-            evacuation_lagrangian(t, x, a, mu, params), rel=1e-13
-        )
+        fm, th = float(np.dot(atoms[2], atoms[0])), float(np.dot(atoms[2], atoms[1]))
+        want = (params.eta / (abs(fm - x) + params.softening)
+                + params.beta * a * th + params.eps * a * a)
+        assert _cost(model, t, x, a, atoms) == pytest.approx(want, rel=1e-13)
 
 
 def test_refinancing_spec_matches_free_functions():
+    # as above, with the default state cost ell(t, x) = (1 + x) / 2
     params = RefinancingParams()
     model = refinancing_model(params)
     rng = np.random.default_rng(37)
     for _ in range(20):
-        mu = _random_measure(rng, domain=(-1.0, 1.0), bounds=(-0.05, 0.05))
+        atoms = random_atoms(rng, *REFI_BOXES)
         t = float(rng.uniform(0, 2))
         x = float(rng.uniform(-1, 1))
         a = float(rng.uniform(-0.05, 0.05))
-        assert model.lagrangian(t, x, a, mu) == pytest.approx(
-            refinancing_lagrangian(t, x, a, mu, params), rel=1e-13
-        )
+        th = float(np.dot(atoms[2], atoms[1]))
+        want = (1.0 + x) / 2.0 + params.M1 * a * th + params.eps * a * a
+        assert _cost(model, t, x, a, atoms) == pytest.approx(want, rel=1e-13)
 
 
 def test_vector_hooks_match_scalar_calls():
-    model = evacuation_model()
+    params = EvacuationParams()
+    model = evacuation_model(params)
     rng = np.random.default_rng(41)
-    mu = _random_measure(rng)
+    x_atoms, _alpha, w = random_atoms(rng, *EVAC_BOXES)
+    fm = float(np.dot(w, x_atoms))
     xs = rng.uniform(0.0, 1.0, 16)
-    costs = model.state_cost(0.0, xs, first_moment(mu))
-    for i, x in enumerate(xs):
-        want = evacuation_lagrangian(0.0, float(x), 0.0, mu, model.params)
-        # alpha = 0 kills the coupling and quadratic terms
+    costs = model.state_cost(0.0, xs, fm)
+    for i, x in enumerate(xs.tolist()):
+        want = params.eta / (abs(fm - x) + params.softening)
         assert costs[i] == pytest.approx(want, rel=1e-13)
 
 
