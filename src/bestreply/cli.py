@@ -1,21 +1,22 @@
 """Command-line entry points: run, validate, report.
 
-Exit codes: 0 success, 1 validation failure (including a model that prices
-a candidate control at a non-finite cost), 2 run finished without reaching
-a zero-modification equilibrium, 3 I/O problem (unreadable config, unwritable
+Exit codes: 0 success, 1 validation failure (including a run that meets a
+non-finite cost, position or moment), 2 run finished without reaching a
+zero-modification equilibrium, 3 I/O problem (unreadable config, unwritable
 output directory, missing or malformed artifacts).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from .config import ConfigError, parse_config
-from .controls import ControlParams, validate_parameters
+from .controls import validate_parameters
 from .engine import NonFiniteCostError, run_two_phase
 from .outputs import write_outputs
 
@@ -78,6 +79,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _EXIT_VALIDATION
     try:
         manifest = write_outputs(cfg, outcome, Path(args.out))
+    except NonFiniteCostError as exc:
+        _fail(str(exc))
+        return _EXIT_VALIDATION
     except OSError as exc:
         _fail(str(exc))
         return _EXIT_IO
@@ -107,19 +111,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return _EXIT_VALIDATION
     checks.append(("model parameters", True, "accepted"))
 
+    bound = max(abs(cfg.control_lo), abs(cfg.control_hi))
     if cfg.model == "refinancing":
-        bound = max(abs(cfg.control_lo), abs(cfg.control_hi))
-        report = validate_parameters(
-            ControlParams(M1=cfg.m1, M2=0.0, eps=cfg.eps, M=bound),
-            lip_phi_prime=0.0,
-            sup_phi_prime=cfg.m1,
-        )
+        report = validate_parameters(cfg.eps, bound, lip_phi_prime=0.0, sup_phi_prime=cfg.m1)
         detail = (
             f"margin {report.margin:.6g}"
             if report.passed
             else "violated: " + "; ".join(report.reasons)
         )
         checks.append(("contraction gates", report.passed, detail))
+
+    # the sweep's quadratic and coupling costs, in its order of operations;
+    # |theta| <= max|a| because the weights sum to at most 1
+    quad = cfg.dt * model.quad_weight * bound * bound
+    coupling = cfg.dt * model.coupling_coef * bound * bound
+    checks.append((
+        "finite control costs",
+        math.isfinite(quad + coupling),
+        f"dt*eps*max|a|^2 {quad:.6g}, dt*coupling_coef*max|a|^2 {coupling:.6g}",
+    ))
 
     coef = model.coupling_coef
     checks.append((

@@ -16,14 +16,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .controls import ControlGrid
-from .engine import SweepOptions, initial_cdf
-from .models import (
-    EvacuationParams,
-    ModelSpec,
-    RefinancingParams,
-    evacuation_model,
-    refinancing_model,
-)
+from .engine import SweepOptions, initial_positions
+from .models import ModelSpec, evacuation_model, refinancing_model
 
 __all__ = [
     "ConfigError",
@@ -31,6 +25,7 @@ __all__ = [
     "parse_config",
     "format_config",
     "shipped_config_path",
+    "DENSITY_GRID_POINTS",
 ]
 
 _MODELS = ("evacuation", "refinancing")
@@ -41,6 +36,9 @@ _SEED_LIMIT = 2**64
 # sweep keeps several float arrays of this size, so 5e7 cells is about 2 GB;
 # evacuation_full.cfg needs 6.0e6
 _MAX_TRAJECTORY_CELLS = 50_000_000
+# evenly spaced points of [domain_lo, domain_hi] at which the density
+# snapshots are written
+DENSITY_GRID_POINTS = 512
 
 # geometry defaults the two shipped models were calibrated with
 _GEOMETRY_DEFAULTS = {
@@ -140,8 +138,13 @@ class RunConfig:
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.T:
                 raise ConfigError(f"snapshot_times entry {t!r} outside [0, T]")
-        if not self.kde_bandwidth > 0.0:
-            raise ConfigError("kde_bandwidth must be positive")
+        # a narrower kernel falls between the density grid's points
+        spacing = (self.domain_hi - self.domain_lo) / (DENSITY_GRID_POINTS - 1)
+        if not self.kde_bandwidth >= spacing:
+            raise ConfigError(
+                f"kde_bandwidth must be at least the {spacing:.6g} spacing of the "
+                f"{DENSITY_GRID_POINTS}-point density grid, got {self.kde_bandwidth:.6g}"
+            )
         if not 0.0 <= self.phase1_keep_fraction <= 1.0:
             raise ConfigError("phase1_keep_fraction must lie in [0, 1]")
         if self.max_sweeps < 0:
@@ -154,23 +157,29 @@ class RunConfig:
         return int(round(self.T / self.dt))
 
     def build_model(self) -> ModelSpec:
+        """The model, refused unless every configured particle starts where
+        the initial density is positive."""
         domain = (self.domain_lo, self.domain_hi)
-        bounds = (self.control_lo, self.control_hi)
         try:
             if self.model == "evacuation":
-                params = EvacuationParams(
-                    eta=self.eta, beta=self.beta, eps=self.eps, softening=self.softening
-                )
                 model = evacuation_model(
-                    params, domain=domain, control_bounds=bounds, sigma=self.sigma
+                    eta=self.eta, beta=self.beta, eps=self.eps, softening=self.softening,
+                    domain=domain, sigma=self.sigma,
                 )
             else:
-                params = RefinancingParams(M1=self.m1, eps=self.eps)
-                model = refinancing_model(
-                    params, domain=domain, control_bounds=bounds, sigma=self.sigma
-                )
-            # a domain that misses the initial density has no particle to place
-            initial_cdf(model.initial_density, model.domain)
+                model = refinancing_model(m1=self.m1, eps=self.eps, domain=domain, sigma=self.sigma)
+            # a domain that misses the density raises here; one far wider
+            # than its support has a CDF grid too coarse to place within it
+            counts = (self.n_particles,) + ((self.phase1_particles,) if self.phase1_enabled else ())
+            for n in counts:
+                x0 = initial_positions(n, model.initial_density, domain)
+                outside = x0[~(model.initial_density(x0) > 0.0)]
+                if outside.size:
+                    raise ValueError(
+                        f"{outside.size} of {n} particles would start where the initial "
+                        f"density is zero (first at {outside[0]:g}): [{domain[0]:g}, "
+                        f"{domain[1]:g}] is too wide for the CDF grid that places them"
+                    )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return model

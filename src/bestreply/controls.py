@@ -18,7 +18,6 @@ from .kernels import lambert_w0
 
 __all__ = [
     "ControlGrid",
-    "ControlParams",
     "GateReport",
     "ControlCrossCheck",
     "linear_control_closed_loop",
@@ -52,11 +51,8 @@ class ControlGrid:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, n_points: int) -> "ControlGrid":
-        """Evenly spaced grid containing both endpoints."""
-        if n_points < 2:
-            raise ValueError("a uniform control grid needs at least 2 points")
-        if not (hi > lo):
-            raise ValueError("control grid upper bound must exceed lower bound")
+        """Evenly spaced grid containing both endpoints; ValueError unless
+        ``lo < hi`` and ``n_points >= 2``."""
         return cls(points=np.linspace(lo, hi, n_points))
 
     @property
@@ -82,32 +78,6 @@ class ControlGrid:
         below = self.points[np.maximum(pos - 1, 0)]
         above = self.points[np.minimum(pos, self.points.size - 1)]
         return np.where(values - below <= above - values, below, above)
-
-
-@dataclass(frozen=True)
-class ControlParams:
-    """Coupling and regularity constants shared by the feedback laws.
-
-    M1 scales the interaction coupling, M2 is the exponential rate of the
-    nonlinear coupling, eps is the quadratic control penalty, and M bounds
-    both the state domain radius and the admissible control magnitude.
-    """
-
-    M1: float
-    M2: float
-    eps: float
-    M: float
-
-    def __post_init__(self) -> None:
-        for name in ("M1", "M2", "eps", "M"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.M1 < 0.0:
-            raise ValueError("M1 must be non-negative")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if self.M <= 0.0:
-            raise ValueError("M must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -343,22 +313,25 @@ class GateReport:
 
 
 def validate_parameters(
-    params: ControlParams, lip_phi_prime: float, sup_phi_prime: float
+    eps: float, m: float, lip_phi_prime: float, sup_phi_prime: float
 ) -> GateReport:
     """Check the sufficient conditions for the best-reply map to contract.
 
-    ``lip_phi_prime`` and ``sup_phi_prime`` are the Lipschitz constant and the
-    sup norm of the derivative of the interaction coupling; both must be
-    non-negative. The gates are evaluated as pure inequalities on the given
-    numbers; nothing is rescaled or clipped.
+    ``eps`` is the quadratic control penalty and ``m`` bounds both the state
+    domain radius and the admissible control magnitude; both must be finite
+    and positive. ``lip_phi_prime`` and ``sup_phi_prime`` are the Lipschitz
+    constant and the sup norm of the derivative of the interaction coupling;
+    both must be finite and non-negative. The gates are evaluated as pure
+    inequalities on the given numbers; nothing is rescaled or clipped.
     """
+    for name, value in (("eps", eps), ("m", m)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive")
     if not math.isfinite(lip_phi_prime) or lip_phi_prime < 0.0:
         raise ValueError("lip_phi_prime must be finite and non-negative")
     if not math.isfinite(sup_phi_prime) or sup_phi_prime < 0.0:
         raise ValueError("sup_phi_prime must be finite and non-negative")
 
-    m = params.M
-    eps = params.eps
     # products, not powers: a huge M overflows to inf and fails the gates
     margin = 2.0 * eps - 6.0 * m * m * m - 9.0 * m * m - 3.0 * m
     denom = 2.0 * eps - lip_phi_prime * m * m

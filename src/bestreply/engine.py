@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -30,7 +31,6 @@ from .kernels import METRIC_TERMS, monomial_exponents, weak_star_distance_from_m
 from .models import ModelSpec
 
 __all__ = [
-    "Ensemble",
     "TrajectorySet",
     "Flow",
     "IterationReport",
@@ -40,9 +40,9 @@ __all__ = [
     "TwoPhaseResult",
     "make_noise",
     "initial_controls",
-    "initial_cdf",
-    "init_ensemble",
-    "simulate_initial",
+    "initial_positions",
+    "simulate_controls",
+    "warm_start_controls",
     "sweep_best_reply",
     "run_to_equilibrium",
     "verify_equilibrium",
@@ -63,15 +63,6 @@ _CDF_POINTS = 4097
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Initial particle states: positions, controls, and the common weight."""
-
-    x0: np.ndarray
-    alpha0: np.ndarray
-    weight: float
-
-
 @dataclass
 class TrajectorySet:
     """Complete simulated horizon for every particle.
@@ -81,7 +72,8 @@ class TrajectorySet:
     absorbed at time index m: it is active (in measures, paying cost,
     advancing) for steps n < m and frozen at its boundary value afterwards;
     ``m = n_steps + 1`` marks a particle that never exits. ``alpha`` entries
-    at and after the exit step are zero-filled.
+    at and after the exit step are zero-filled. ``moments`` is computed on
+    first use, so each trajectory set's moments are computed once.
     """
 
     x: np.ndarray
@@ -89,7 +81,6 @@ class TrajectorySet:
     exit_step: np.ndarray
     weight: float
     dt: float
-    cached_moments: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -107,6 +98,11 @@ class TrajectorySet:
     @property
     def n_steps(self) -> int:
         return self.alpha.shape[1]
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """``time_averaged_moments`` of these trajectories at METRIC_TERMS."""
+        return time_averaged_moments(self, METRIC_TERMS)
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class Flow:
 
 
 class NonFiniteCostError(ValueError):
-    """A sweep priced a candidate control at a non-finite cost."""
+    """A run met a non-finite cost, position or moment."""
 
 
 @dataclass(frozen=True)
@@ -234,12 +230,22 @@ def initial_controls(
     return np.where(toward_lower, grid.points[0], grid.points[-1])
 
 
-def initial_cdf(
+def initial_positions(
+    n_particles: int,
     initial_density: Callable[[np.ndarray], np.ndarray],
     domain: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(xs, cdf)``, the density's normalised CDF on a fine fixed grid;
-    ValueError unless the density is finite, non-negative and has mass."""
+) -> np.ndarray:
+    """Starting positions of equal-weight particles, by stratified inverse-CDF
+    sampling.
+
+    The density's CDF is integrated by the trapezoid rule on a fixed grid of
+    the domain; particle k sits at the quantile (k + 1/2) / N, which is
+    deterministic, spreads particles evenly through the mass, and keeps the
+    empirical mean within O(1/N) of the true one. ValueError unless the
+    density is finite, non-negative and has mass on the grid.
+    """
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
     lo, hi = domain
     xs = np.linspace(lo, hi, _CDF_POINTS)
     f = np.asarray(initial_density(xs), dtype=float)
@@ -248,32 +254,10 @@ def initial_cdf(
     if np.any(f < 0.0):
         raise ValueError("initial density must be non-negative")
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(xs))])
-    total = cdf[-1]
-    if not total > 0.0:
+    if not cdf[-1] > 0.0:
         raise ValueError(f"initial density is zero at all {xs.size} grid points of [{lo:g}, {hi:g}]")
-    return xs, cdf / total
-
-
-def init_ensemble(
-    n_particles: int,
-    initial_density: Callable[[np.ndarray], np.ndarray],
-    domain: tuple[float, float],
-    grid: ControlGrid,
-) -> Ensemble:
-    """Equal-weight particles placed by stratified inverse-CDF sampling.
-
-    The density is integrated by ``initial_cdf``; particle k sits at the
-    quantile (k + 1/2) / N, which is deterministic, spreads particles evenly
-    through the mass, and keeps the empirical mean within O(1/N) of the true
-    one. Initial controls follow the nearest-boundary rule.
-    """
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    xs, cdf = initial_cdf(initial_density, domain)
     quantiles = (np.arange(n_particles) + 0.5) / n_particles
-    x0 = np.interp(quantiles, cdf, xs)
-    alpha0 = initial_controls(x0, domain, grid)
-    return Ensemble(x0=x0, alpha0=alpha0, weight=1.0 / n_particles)
+    return np.interp(quantiles, cdf / cdf[-1], xs)
 
 
 # --------------------------------------------------------------------------
@@ -294,6 +278,9 @@ def _advance(x, gain, a, noise, dt, lo, hi):
     return np.where(out_lo, lo, np.where(out_hi, hi, x_new)), out_lo | out_hi
 
 
+# a landing that overflows to +-inf is past a boundary and absorbed there;
+# only a NaN one is refused
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_controls(
     x0: np.ndarray,
     weight: float,
@@ -309,7 +296,8 @@ def simulate_controls(
     clamped to the crossed boundary point. Drifts that depend on the mean
     control use the step-start value over the currently active particles.
     Stored controls are zero from a particle's exit step onward, matching
-    what the sweeps maintain.
+    what the sweeps maintain. A position that is not a number raises
+    ``NonFiniteCostError``.
     """
     n, n_steps = controls.shape
     w = weight
@@ -337,21 +325,10 @@ def simulate_controls(
             active[idx[exited]] = False
             cur[idx] = x_new
         x_hist[:, step + 1] = cur
+    # a NaN position stays live to the horizon
+    if np.isnan(cur).any():
+        raise NonFiniteCostError("non-finite position in the starting run")
     return TrajectorySet(x=x_hist, alpha=a_hist, exit_step=exit_step, weight=w, dt=dt)
-
-
-def simulate_initial(
-    ensemble: Ensemble,
-    model: ModelSpec,
-    xi: np.ndarray,
-    dt: float,
-    n_steps: int,
-) -> TrajectorySet:
-    """Forward simulation with the initial controls frozen (sweep zero)."""
-    controls = np.broadcast_to(
-        ensemble.alpha0[:, None], (ensemble.x0.size, n_steps)
-    )
-    return simulate_controls(ensemble.x0, ensemble.weight, controls, model, xi, dt)
 
 
 # --------------------------------------------------------------------------
@@ -359,6 +336,7 @@ def simulate_initial(
 # --------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def time_averaged_moments(traj: TrajectorySet, n_terms: int) -> np.ndarray:
     """Moments of the trajectory's time-averaged joint measure.
 
@@ -368,7 +346,7 @@ def time_averaged_moments(traj: TrajectorySet, n_terms: int) -> np.ndarray:
     ``kernels.monomial_exponents(2, n_terms)`` in (x, alpha). Each is a
     per-step table of axis-0 sums over the particles, as in ``Flow.of``,
     whose steps are added in order by ``math.fsum``, so it does not depend
-    on BLAS or the CPU.
+    on BLAS or the CPU. A moment past the float range is NaN.
     """
     n_steps = traj.n_steps
     if n_steps == 0:
@@ -387,7 +365,10 @@ def time_averaged_moments(traj: TrajectorySet, n_terms: int) -> np.ndarray:
             np.copyto(term, x_pow)
         else:
             term *= traj.alpha
-        moments[k] = math.fsum(term.sum(axis=0).tolist())
+        try:
+            moments[k] = math.fsum(term.sum(axis=0).tolist())
+        except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+            moments[k] = math.nan
     return moments * (traj.weight / n_steps)
 
 
@@ -396,6 +377,9 @@ def time_averaged_moments(traj: TrajectorySet, n_terms: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+# overflow shows up as a non-finite cost or moment, refused below, or as a
+# landing at +-inf, which is absorbed
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sweep_best_reply(
     prev: TrajectorySet,
     model: ModelSpec,
@@ -437,7 +421,8 @@ def sweep_best_reply(
     decision when candidates are priced at their landing positions, with
     the (G,) row of those positions and the running first moment, and
     ``state_gain`` once per decision otherwise, on the mean control after
-    that decision. A non-finite cost raises ``NonFiniteCostError``.
+    that decision. A non-finite cost, position or moment raises
+    ``NonFiniteCostError``.
     """
     n, n_steps = prev.n_particles, prev.n_steps
     w, dt = prev.weight, prev.dt
@@ -449,10 +434,9 @@ def sweep_best_reply(
     noise_scale = 2.0 * math.sqrt(model.diffusion) * math.sqrt(dt)
     g_dt = g * dt
     # the cost of control a is [dt * state cost] + q + s_lin * a, with q the
-    # quadratic term, added in that order; an overflow of q shows up as the
-    # non-finite cost refused below
-    with np.errstate(over="ignore"):
-        quad = dt * model.quad_weight * g * g
+    # quadratic term, added in that order
+    quad = dt * model.quad_weight * g * g
+    where = f"sweep {sweep_index} of the {'exploratory' if phase == 1 else 'main'} phase"
 
     new_x = np.empty((n, n_steps + 1))
     new_x[:, 0] = prev.x[:, 0]
@@ -490,42 +474,37 @@ def sweep_best_reply(
         adopted = np.empty(m)
         after = np.empty(m)
         first = 0
-        # overflow shows up as a non-finite cost, refused below
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if post:
-                moved = w * (x_v - np.where(seen_v, prev_x_n[visits], 0.0))
-                s_x = np.add.accumulate(
-                    np.concatenate(([w * float(prev_x_n[present].sum())], moved))
-                )
-                rows = x_v[:, None] + g_dt[None, :]
-                state = map(model.state_cost, repeat(t_n), rows, s_x[1:].tolist())
-                base = dt * np.array(list(state), dtype=float) + quad
-            else:
-                base = np.broadcast_to(quad, (m, g.size))
-            while first < m:
-                chain[first + 1:] = w * (guess[first:] - own_v[first:])
-                sums = np.add.accumulate(chain[first:])
-                before = sums[:-1]
-                theta = before if include_self else before - w * own_v[first:]
-                cost = base[first:] + (coef_dt * theta)[:, None] * g
-                if not np.isfinite(cost).all():
-                    raise NonFiniteCostError(
-                        f"non-finite cost at step {step} (t = {t_n:g}) in sweep "
-                        f"{sweep_index} of the {'exploratory' if phase == 1 else 'main'} phase"
-                    )
-                # first minimum, as a scan with strict < would pick
-                picked = g[cost.argmin(axis=1)]
-                missed = np.flatnonzero(picked != guess[first:])
-                stop = first + int(missed[0]) + 1 if missed.size else m
-                adopted[first:stop] = picked[: stop - first]
-                after[first:stop] = sums[1 : stop - first + 1]
-                if missed.size:
-                    # the missed visitor's own change, then resume after it
-                    last = stop - 1
-                    after[last] = before[last - first] + w * (adopted[last] - own_v[last])
-                    chain[stop] = after[last]
-                    guess[stop:] = picked[stop - first:]
-                first = stop
+        if post:
+            moved = w * (x_v - np.where(seen_v, prev_x_n[visits], 0.0))
+            s_x = np.add.accumulate(
+                np.concatenate(([w * float(prev_x_n[present].sum())], moved))
+            )
+            rows = x_v[:, None] + g_dt[None, :]
+            state = map(model.state_cost, repeat(t_n), rows, s_x[1:].tolist())
+            base = dt * np.array(list(state), dtype=float) + quad
+        else:
+            base = np.broadcast_to(quad, (m, g.size))
+        while first < m:
+            chain[first + 1:] = w * (guess[first:] - own_v[first:])
+            sums = np.add.accumulate(chain[first:])
+            before = sums[:-1]
+            theta = before if include_self else before - w * own_v[first:]
+            cost = base[first:] + (coef_dt * theta)[:, None] * g
+            if not np.isfinite(cost).all():
+                raise NonFiniteCostError(f"non-finite cost at step {step} (t = {t_n:g}) in {where}")
+            # first minimum, as a scan with strict < would pick
+            picked = g[cost.argmin(axis=1)]
+            missed = np.flatnonzero(picked != guess[first:])
+            stop = first + int(missed[0]) + 1 if missed.size else m
+            adopted[first:stop] = picked[: stop - first]
+            after[first:stop] = sums[1 : stop - first + 1]
+            if missed.size:
+                # the missed visitor's own change, then resume after it
+                last = stop - 1
+                after[last] = before[last - first] + w * (adopted[last] - own_v[last])
+                chain[stop] = after[last]
+                guess[stop:] = picked[stop - first:]
+            first = stop
 
         # a decision at a step the particle previously did not reach counts
         # as a strategy change even if the value matches the zero fill of the
@@ -542,53 +521,41 @@ def sweep_best_reply(
         cur_active[exited] = False
         new_x[:, step + 1] = cur_x
 
-    new_traj = TrajectorySet(
-        x=new_x, alpha=new_alpha, exit_step=new_exit, weight=w, dt=dt
-    )
-    old_moments = (
-        prev.cached_moments
-        if prev.cached_moments is not None
-        else time_averaged_moments(prev, METRIC_TERMS)
-    )
-    new_moments = time_averaged_moments(new_traj, METRIC_TERMS)
-    new_traj.cached_moments = new_moments
-    change = weak_star_distance_from_moments(old_moments, new_moments)
-    report = IterationReport(
-        sweep=sweep_index,
-        modifications=modifications,
-        distribution_change=change,
+    new_traj = TrajectorySet(x=new_x, alpha=new_alpha, exit_step=new_exit, weight=w, dt=dt)
+    change = weak_star_distance_from_moments(prev.moments, new_traj.moments)
+    # a NaN position stays live to the horizon; a moment past the float
+    # range makes the change NaN
+    if np.isnan(cur_x).any() or not math.isfinite(change):
+        raise NonFiniteCostError(f"non-finite position or moment after {where}")
+    return new_traj, IterationReport(
+        sweep=sweep_index, modifications=modifications, distribution_change=change,
         converged=modifications == 0,
     )
-    return new_traj, report
 
 
 def run_to_equilibrium(
     model: ModelSpec,
     grid: ControlGrid,
-    ensemble: Ensemble,
+    x0: np.ndarray,
+    start_controls: np.ndarray,
     *,
     dt: float,
-    n_steps: int,
     seed: int,
     phase: int = 0,
     max_sweeps: int,
     options: SweepOptions,
-    start_controls: Optional[np.ndarray] = None,
 ) -> EquilibriumResult:
     """Sweep until a sweep modifies no control, up to ``max_sweeps`` sweeps.
 
-    The starting trajectory plays the nearest-boundary initial controls, or
-    ``start_controls`` (a per-particle, per-step matrix on the grid) when
-    given. ``max_sweeps = 0`` returns that frozen-control starting run,
-    flagged as non-converged. Non-convergence is an outcome, not an error.
+    The equal-weight particles start at ``x0`` and first play
+    ``start_controls``, a per-particle, per-step matrix on the grid whose
+    columns set the number of steps. ``max_sweeps = 0`` returns that
+    frozen-control starting run, flagged as non-converged. Non-convergence
+    is an outcome, not an error.
     """
-    xi = make_noise(seed, phase, ensemble.x0.size, n_steps)
-    if start_controls is None:
-        traj = simulate_initial(ensemble, model, xi, dt, n_steps)
-    else:
-        traj = simulate_controls(
-            ensemble.x0, ensemble.weight, start_controls, model, xi, dt
-        )
+    n, n_steps = start_controls.shape
+    xi = make_noise(seed, phase, n, n_steps)
+    traj = simulate_controls(x0, 1.0 / n, start_controls, model, xi, dt)
     reports: list[IterationReport] = []
     converged = False
     for sweep_index in range(1, max_sweeps + 1):
@@ -612,7 +579,6 @@ def verify_equilibrium(
     phase: int,
     options: SweepOptions,
     sweep_index: int,
-    xi: Optional[np.ndarray] = None,
 ) -> tuple[int, float]:
     """Run one extra sweep against the given trajectories.
 
@@ -620,18 +586,14 @@ def verify_equilibrium(
     control change over all live (particle, step) pairs; both are zero at a
     true equilibrium.
     """
-    if xi is None:
-        xi = make_noise(seed, phase, traj.n_particles, traj.n_steps)
+    xi = make_noise(seed, phase, traj.n_particles, traj.n_steps)
     new_traj, report = sweep_best_reply(
         traj, model, grid,
         seed=seed, phase=phase, sweep_index=sweep_index, xi=xi, options=options,
     )
     active = new_traj.exit_step[:, None] > np.arange(traj.n_steps)[None, :]
-    if active.any():
-        residual = float(np.max(np.abs(new_traj.alpha[active] - traj.alpha[active])))
-    else:
-        residual = 0.0
-    return report.modifications, residual
+    residual = np.abs(new_traj.alpha[active] - traj.alpha[active]).max(initial=0.0)
+    return report.modifications, float(residual)
 
 
 def max_greedy_gap(
@@ -731,6 +693,7 @@ def warm_start_controls(
     return grid.nearest(traj.alpha[donors])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def value_function_trace(
     traj: TrajectorySet, model: ModelSpec, options: SweepOptions
 ) -> np.ndarray:
@@ -743,7 +706,8 @@ def value_function_trace(
     taken at the step-start position against ``Flow.first_moment``. For a
     model the sweep prices post-step (evacuation) that differs from what the
     particles optimized: the state cost at the landing position against the
-    step's running first moment.
+    step's running first moment. A non-finite cost-to-go raises
+    ``NonFiniteCostError``.
     """
     n, n_steps = traj.n_particles, traj.n_steps
     w, dt = traj.weight, traj.dt
@@ -764,6 +728,8 @@ def value_function_trace(
             + model.quad_weight * alphas * alphas
         )
         u[active, step] = u[active, step + 1] + dt * running
+    if not np.isfinite(u).all():
+        raise NonFiniteCostError("non-finite cost-to-go in the value traces")
     return u
 
 
@@ -792,30 +758,32 @@ def run_two_phase(
     When phase 1 runs, its solution both selects the pruned grid and provides
     the full run's starting control paths (via warm_start_controls), so the
     expensive phase refines an already-equilibrated profile rather than
-    restarting from the rush-to-the-boundary guess. The two phases draw from
-    disjoint noise streams; phase 2 uses the same streams as a single-phase
-    run, so disabling phase 1 never changes the main run's randomness.
+    restarting from the rush-to-the-boundary guess, which every particle
+    otherwise plays at every step (``initial_controls``). The two phases draw
+    from disjoint noise streams; phase 2 uses the same streams as a
+    single-phase run, so disabling phase 1 never changes the main run's
+    randomness.
     """
+
+    def boundary_start(x0: np.ndarray) -> np.ndarray:
+        a0 = initial_controls(x0, model.domain, grid)
+        return np.broadcast_to(a0[:, None], (x0.size, n_steps))
+
     phase1_result: Optional[EquilibriumResult] = None
     pruned = grid
-    start = None
+    x0 = initial_positions(n_particles, model.initial_density, model.domain)
     if phase1_enabled:
-        ens1 = init_ensemble(phase1_particles, model.initial_density, model.domain, grid)
+        x1 = initial_positions(phase1_particles, model.initial_density, model.domain)
         phase1_result = run_to_equilibrium(
-            model, grid, ens1,
-            dt=dt, n_steps=n_steps, seed=seed, phase=1,
-            max_sweeps=max_sweeps, options=options,
+            model, grid, x1, boundary_start(x1),
+            dt=dt, seed=seed, phase=1, max_sweeps=max_sweeps, options=options,
         )
         pruned = prune_control_set(phase1_result.trajectories, grid, keep_fraction)
         start = warm_start_controls(phase1_result.trajectories, n_particles, pruned)
-    ens2 = init_ensemble(n_particles, model.initial_density, model.domain, pruned)
+    else:
+        start = boundary_start(x0)
     phase2_result = run_to_equilibrium(
-        model, pruned, ens2,
-        dt=dt, n_steps=n_steps, seed=seed, phase=0,
-        max_sweeps=max_sweeps, options=options, start_controls=start,
+        model, pruned, x0, start,
+        dt=dt, seed=seed, phase=0, max_sweeps=max_sweeps, options=options,
     )
-    return TwoPhaseResult(
-        phase1=phase1_result,
-        phase2=phase2_result,
-        grid_pruned=pruned,
-    )
+    return TwoPhaseResult(phase1=phase1_result, phase2=phase2_result, grid_pruned=pruned)

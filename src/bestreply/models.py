@@ -19,17 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "ModelSpec",
-    "EvacuationParams",
-    "RefinancingParams",
-    "evacuation_model",
-    "refinancing_model",
-]
+__all__ = ["ModelSpec", "evacuation_model", "refinancing_model"]
 
 
 @dataclass(frozen=True)
@@ -43,13 +37,12 @@ class ModelSpec:
     multiplier on x in the drift. ``state_gain_is_zero`` declares it
     identically zero, and also sets where the sweep prices a candidate
     control: at its landing position when set, at the pre-step position
-    otherwise. There is no terminal cost.
+    otherwise. There is no terminal cost. A custom rate or state cost is a
+    ``dataclasses.replace`` of a shipped model's hooks.
     """
 
-    name: str
     diffusion: float
     domain: tuple[float, float]
-    control_bounds: tuple[float, float]
     quad_weight: float
     coupling_coef: float
     state_cost: Callable[[float, np.ndarray, object], np.ndarray]
@@ -62,35 +55,8 @@ class ModelSpec:
             raise ValueError("diffusion must be finite and non-negative")
         if not self.domain[0] < self.domain[1]:
             raise ValueError("domain must be an open interval (lo, hi) with lo < hi")
-        if not self.control_bounds[0] < self.control_bounds[1]:
-            raise ValueError("control bounds must satisfy lo < hi")
         if self.quad_weight < 0.0:
             raise ValueError("quadratic control weight must be non-negative")
-
-
-# --------------------------------------------------------------------------
-# evacuation
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EvacuationParams:
-    """Congestion-and-alignment cost.
-
-    The running cost is eta / (|first_moment - x| + softening)
-    + beta * a * theta + eps * a^2; the drift is the control a alone.
-    """
-
-    eta: float = 4.0
-    beta: float = 1.0
-    eps: float = 0.5
-    softening: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.eta < 0.0 or self.beta < 0.0 or self.eps < 0.0:
-            raise ValueError("eta, beta, and eps must be non-negative")
-        if not self.softening > 0.0:
-            raise ValueError("softening must be positive")
 
 
 def _evacuation_initial_density(x: np.ndarray) -> np.ndarray:
@@ -99,64 +65,33 @@ def _evacuation_initial_density(x: np.ndarray) -> np.ndarray:
 
 
 def evacuation_model(
-    params: EvacuationParams | None = None,
     *,
+    eta: float = 4.0,
+    beta: float = 1.0,
+    eps: float = 0.5,
+    softening: float = 0.2,
     domain: tuple[float, float] = (0.0, 1.0),
-    control_bounds: tuple[float, float] = (-0.2, 0.2),
     sigma: float = 2.5e-9,
 ) -> ModelSpec:
-    """Bind evacuation parameters into the engine-facing model interface."""
-    p = params if params is not None else EvacuationParams()
+    """Congestion-and-alignment evacuation.
+
+    The running cost is eta / (|first_moment - x| + softening)
+    + beta * a * theta + eps * a^2; the drift is the control a alone.
+    """
+    if eta < 0.0 or beta < 0.0 or eps < 0.0:
+        raise ValueError("eta, beta, and eps must be non-negative")
+    if not softening > 0.0:
+        raise ValueError("softening must be positive")
     return ModelSpec(
-        name="evacuation",
         diffusion=sigma,
         domain=domain,
-        control_bounds=control_bounds,
-        quad_weight=p.eps,
-        coupling_coef=p.beta,
-        state_cost=lambda t, xq, fm: p.eta / (np.abs(fm - xq) + p.softening),
+        quad_weight=eps,
+        coupling_coef=beta,
+        state_cost=lambda t, xq, fm: eta / (np.abs(fm - xq) + softening),
         state_gain=lambda th: 0.0,
         state_gain_is_zero=True,
         initial_density=_evacuation_initial_density,
     )
-
-
-# --------------------------------------------------------------------------
-# refinancing
-# --------------------------------------------------------------------------
-
-
-def _default_rate(z: float) -> float:
-    return 0.05 + 1.0 * z
-
-
-def _default_state_cost(t: float, x) -> np.ndarray:
-    return 1.0 * (1.0 + np.asarray(x, dtype=float)) / 2.0
-
-
-@dataclass(frozen=True)
-class RefinancingParams:
-    """Debt-refinancing cost with a mean-control-dependent rate of return.
-
-    The running cost is ell(t, x) + M1 * a * theta + eps * a^2; the drift is
-    (1 + rho(theta)) * x + a. ``rho`` defaults to the affine rate
-    z -> 0.05 + z and ``ell`` to the increasing state cost (1 + x) / 2.
-    """
-
-    M1: float = 0.1
-    eps: float = 0.5
-    rho: Optional[Callable[[float], float]] = None
-    ell: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self) -> None:
-        if self.M1 < 0.0:
-            raise ValueError("M1 must be non-negative")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
-        if self.rho is None:
-            object.__setattr__(self, "rho", _default_rate)
-        if self.ell is None:
-            object.__setattr__(self, "ell", _default_state_cost)
 
 
 def _refinancing_initial_density(x: np.ndarray) -> np.ndarray:
@@ -165,23 +100,28 @@ def _refinancing_initial_density(x: np.ndarray) -> np.ndarray:
 
 
 def refinancing_model(
-    params: RefinancingParams | None = None,
     *,
+    m1: float = 0.1,
+    eps: float = 0.5,
     domain: tuple[float, float] = (-1.0, 1.0),
-    control_bounds: tuple[float, float] = (-0.05, 0.05),
     sigma: float = 2.5e-9,
 ) -> ModelSpec:
-    """Bind refinancing parameters into the engine-facing model interface."""
-    p = params if params is not None else RefinancingParams()
+    """Debt refinancing with a mean-control-dependent rate of return.
+
+    The running cost is (1 + x) / 2 + m1 * a * theta + eps * a^2; the drift
+    is (1 + rho(theta)) * x + a with the affine rate rho(z) = 0.05 + z.
+    """
+    if m1 < 0.0:
+        raise ValueError("m1 must be non-negative")
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
     return ModelSpec(
-        name="refinancing",
         diffusion=sigma,
         domain=domain,
-        control_bounds=control_bounds,
-        quad_weight=p.eps,
-        coupling_coef=p.M1,
-        state_cost=lambda t, xq, fm: np.asarray(p.ell(t, xq), dtype=float) * np.ones_like(xq),
-        state_gain=lambda th: 1.0 + p.rho(th),
+        quad_weight=eps,
+        coupling_coef=m1,
+        state_cost=lambda t, xq, fm: (1.0 + xq) / 2.0,
+        state_gain=lambda th: 1.0 + (0.05 + th),
         state_gain_is_zero=False,
         initial_density=_refinancing_initial_density,
     )

@@ -13,13 +13,11 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .config import RunConfig, format_config
+from .config import DENSITY_GRID_POINTS, RunConfig, format_config
 from .engine import Flow, TwoPhaseResult, value_function_trace
 from .kernels import ShapeKernel
 
 __all__ = ["format_float", "write_outputs"]
-
-_DENSITY_GRID_POINTS = 512
 
 
 def format_float(value: float) -> str:
@@ -53,12 +51,19 @@ def write_outputs(config: RunConfig, outcome: TwoPhaseResult, out_dir: Union[str
     pruning phase ran), one density_t<time>.csv per snapshot time, one
     value_x<start>.csv per requested trace start, manifest.txt, and plots.gp.
     Non-converged runs are written the same way; the iteration log records
-    the shortfall.
+    the shortfall. The value traces are priced before anything is written,
+    so a ``NonFiniteCostError`` from them leaves no directory behind.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     traj = outcome.phase2.trajectories
     dt = config.dt
+    # the trace of the particle that started nearest each trace start
+    starts = traj.x[:, 0]
+    traced = [int(np.argmin(np.abs(starts - start))) for start in config.value_trace_starts]
+    traces = []
+    if traced:
+        traces = value_function_trace(traj, config.build_model(), config.sweep_options())[traced]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     flow = Flow.of(traj)
     mass, first_moment = flow.mass, flow.first_moment
@@ -97,7 +102,7 @@ def write_outputs(config: RunConfig, outcome: TwoPhaseResult, out_dir: Union[str
         )
 
     kernel = ShapeKernel(bandwidth=config.kde_bandwidth)
-    queries = np.linspace(config.domain_lo, config.domain_hi, _DENSITY_GRID_POINTS)
+    queries = np.linspace(config.domain_lo, config.domain_hi, DENSITY_GRID_POINTS)
     density_files = []
     for snapshot_time in config.snapshot_times:
         step = int(round(snapshot_time / dt))
@@ -115,22 +120,14 @@ def write_outputs(config: RunConfig, outcome: TwoPhaseResult, out_dir: Union[str
         )
 
     value_files = []
-    if config.value_trace_starts:
-        model = config.build_model()
-        traces = value_function_trace(traj, model, config.sweep_options())
-        starts = traj.x[:, 0]
-        for start in config.value_trace_starts:
-            particle = int(np.argmin(np.abs(starts - start)))
-            name = _value_name(start)
-            value_files.append(name)
-            _write_csv(
-                out / name,
-                "t,u",
-                (
-                    (format_float(n * dt), format_float(traces[particle, n]))
-                    for n in range(traj.n_steps + 1)
-                ),
-            )
+    for start, trace in zip(config.value_trace_starts, traces):
+        name = _value_name(start)
+        value_files.append(name)
+        _write_csv(
+            out / name,
+            "t,u",
+            ((format_float(n * dt), format_float(u)) for n, u in enumerate(trace.tolist())),
+        )
 
     manifest = out / "manifest.txt"
     from . import __version__

@@ -17,7 +17,6 @@ import pytest
 
 from bestreply.config import parse_config, shipped_config_path
 from bestreply.controls import (
-    ControlParams,
     cross_check_exponential_control,
     linear_control_closed_loop,
     validate_parameters,
@@ -146,21 +145,23 @@ def test_c3_linear_closed_loop_analytic_case():
 
 def test_c4_monotonicity_suites():
     start = time.perf_counter()
-    refinancing = parse_config(shipped_config_path("refinancing_default.cfg")).build_model()
+    refi_cfg = parse_config(shipped_config_path("refinancing_default.cfg"))
+    refinancing = refi_cfg.build_model()
+    refi_bounds = (refi_cfg.control_lo, refi_cfg.control_hi)
     evacuation = evacuation_model()
 
     rng = np.random.default_rng(11)
     worst_refi = 0.0
     for _ in range(200):
-        nu1 = random_atoms(rng, refinancing.domain, refinancing.control_bounds)
-        nu2 = random_atoms(rng, refinancing.domain, refinancing.control_bounds)
+        nu1 = random_atoms(rng, refinancing.domain, refi_bounds)
+        nu2 = random_atoms(rng, refinancing.domain, refi_bounds)
         worst_refi = min(worst_refi, monotonicity_integral(refinancing, nu1, nu2))
 
     rng = np.random.default_rng(12)
     worst_evac = 0.0
     for _ in range(200):
-        nu1 = random_atoms(rng, evacuation.domain, evacuation.control_bounds)
-        nu2 = random_atoms(rng, evacuation.domain, evacuation.control_bounds)
+        nu1 = random_atoms(rng, evacuation.domain, (-0.2, 0.2))
+        nu2 = random_atoms(rng, evacuation.domain, (-0.2, 0.2))
         worst_evac = min(
             worst_evac, monotonicity_integral(evacuation, nu1, nu2, state_cost=False)
         )
@@ -179,16 +180,8 @@ def test_c4_monotonicity_suites():
 def test_c5_parameter_gates():
     cfg = parse_config(shipped_config_path("refinancing_default.cfg"))
     bound = max(abs(cfg.control_lo), abs(cfg.control_hi))
-    shipped = validate_parameters(
-        ControlParams(M1=cfg.m1, M2=0.0, eps=cfg.eps, M=bound),
-        lip_phi_prime=0.0,
-        sup_phi_prime=cfg.m1,
-    )
-    failing = validate_parameters(
-        ControlParams(M1=cfg.m1, M2=0.0, eps=0.5, M=1.0),
-        lip_phi_prime=0.0,
-        sup_phi_prime=cfg.m1,
-    )
+    shipped = validate_parameters(cfg.eps, bound, lip_phi_prime=0.0, sup_phi_prime=cfg.m1)
+    failing = validate_parameters(0.5, 1.0, lip_phi_prime=0.0, sup_phi_prime=cfg.m1)
     _line(
         "5 parameter gates",
         shipped.passed and not failing.passed and "a" in failing.violations,
@@ -305,19 +298,15 @@ def test_c8_refinancing_smoke():
     cfg = parse_config(shipped_config_path("refinancing_default.cfg"))
     run = _run_config(cfg)
     mass = Flow.of(run.outcome.phase2.trajectories).mass
+    bounds = (cfg.control_lo, cfg.control_hi)
     gates = validate_parameters(
-        ControlParams(
-            M1=cfg.m1, M2=0.0, eps=cfg.eps,
-            M=max(abs(cfg.control_lo), abs(cfg.control_hi)),
-        ),
-        lip_phi_prime=0.0,
-        sup_phi_prime=cfg.m1,
+        cfg.eps, max(map(abs, bounds)), lip_phi_prime=0.0, sup_phi_prime=cfg.m1
     )
     rng = np.random.default_rng(21)
     worst = 0.0
     for _ in range(200):
-        nu1 = random_atoms(rng, run.model.domain, run.model.control_bounds)
-        nu2 = random_atoms(rng, run.model.domain, run.model.control_bounds)
+        nu1 = random_atoms(rng, run.model.domain, bounds)
+        nu2 = random_atoms(rng, run.model.domain, bounds)
         worst = min(worst, monotonicity_integral(run.model, nu1, nu2))
     _line(
         "8 refinancing smoke",

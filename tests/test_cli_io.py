@@ -1,10 +1,13 @@
 import filecmp
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from bestreply.cli import main
 from bestreply.config import (
     _KEYS,
     _REMOVED_KEYS,
+    DENSITY_GRID_POINTS,
     ConfigError,
     RunConfig,
     format_config,
@@ -313,7 +317,7 @@ def test_readme_config_table_lists_every_key():
 def test_build_model_grid_and_options(tmp_path):
     cfg = parse_config(_mini_evacuation(tmp_path, theta_self="include"))
     model = cfg.build_model()
-    assert model.name == "evacuation"
+    assert model.state_gain_is_zero and model.coupling_coef == 1.0
     assert model.domain == (0.0, 1.0)
     assert model.diffusion == 2.5e-9
     grid = cfg.build_grid()
@@ -615,6 +619,42 @@ def test_cli_domain_missing_initial_density_exits_1(tmp_path, capsys, command, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_domain_too_wide_to_place_particles_exits_1(tmp_path, capsys, command):
+    # the density (1 on (-0.5, 0.5)) is positive at the grid's first point
+    # only, so the CDF grid would place every particle beyond its support
+    cfg_path = _mini_refinancing(tmp_path, domain_lo="1e-300", domain_hi="1e300",
+                                 kde_bandwidth="1e300")
+    out = tmp_path / "o"
+    args = ["--out", str(out)] if command == "run" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg_path), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 40 of 40 particles would start where the initial "
+                                   "density is zero")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_kde_bandwidth_below_density_grid_spacing_refused(tmp_path, capsys):
+    spacing = 1.0 / (DENSITY_GRID_POINTS - 1)
+    assert parse_config(_mini_evacuation(tmp_path, kde_bandwidth=repr(spacing))).kde_bandwidth == spacing
+    cfg_path = _mini_evacuation(tmp_path, kde_bandwidth="1e-300")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: kde_bandwidth must be at least the 0.00195695 spacing of "
+                            "the 512-point density grid, got 1e-300\n")
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="kde_bandwidth"):
+        parse_config(_mini_evacuation(tmp_path, kde_bandwidth=repr(spacing * 0.999)))
+
+
 def test_cli_run_unwritable_out_exits_3(tmp_path):
     cfg_path = _mini_refinancing(tmp_path)
     blocker = tmp_path / "blocker"
@@ -660,6 +700,18 @@ def test_cli_validate_huge_control_bounds_fail_the_gates(tmp_path, capsys):
     cfg_path = _mini_refinancing(tmp_path, control_lo="-1e300", control_hi="1e300")
     assert main(["validate", "--config", str(cfg_path)]) == 1
     assert "FAIL contraction gates: violated: " in capsys.readouterr().out
+
+
+def test_cli_validate_agrees_with_run_on_overflowing_control_costs(tmp_path, capsys):
+    # eps*a^2 overflows on the grid: validate fails it, as run refuses it
+    cfg_path = _mini_evacuation(tmp_path, control_lo="-1e200", control_hi="1e200",
+                                n_particles="40", T="0.4")
+    assert main(["validate", "--config", str(cfg_path)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL finite control costs: dt*eps*max|a|^2 inf, "
+                      "dt*coupling_coef*max|a|^2 inf"]
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite cost at step 0 ")
 
 
 def test_cli_validate_error_codes(tmp_path):
@@ -747,3 +799,72 @@ def test_evacuation_default_pricing_lets_particles_leave(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     final_mass = float((out / "mass.csv").read_text().splitlines()[-1].split(",")[1])
     assert final_mass < 1.0
+
+
+# ------------------------------------------------- run never ends in a traceback
+
+_PROBE = ["0", "1", "-1", "0.5", "1e200", "-1e200", "1e300", "-1e300", "1e-300"]
+_PROBE_KEYS = {
+    "evacuation": ("eta", "beta", "softening"),
+    "refinancing": ("m1",),
+}
+_SHARED_PROBE_KEYS = ("domain_lo", "domain_hi", "control_lo", "control_hi", "sigma", "eps",
+                      "kde_bandwidth", "phase1_keep_fraction")
+
+
+@st.composite
+def _tiny_run_configs(draw):
+    """Config text of a run with 1-8 particles and at most 20 steps, whose
+    float keys take ordinary, zero, huge and tiny values or their defaults."""
+    model = draw(st.sampled_from(["evacuation", "refinancing"]))
+    dt = draw(st.sampled_from(["0.004", "0.1"] + _PROBE))
+    lines = {
+        "model": model,
+        "n_particles": draw(st.integers(1, 8)),
+        "dt": dt,
+        "T": repr(draw(st.integers(1, 20)) * float(dt)),
+        "n_alpha": draw(st.integers(2, 5)),
+        "max_sweeps": draw(st.integers(0, 4)),
+        "phase1_enabled": draw(st.sampled_from(["true", "false"])),
+        "phase1_particles": draw(st.integers(1, 8)),
+        "theta_self": draw(st.sampled_from(["exclude", "include"])),
+        "snapshot_times": draw(st.sampled_from(["", "0"])),
+        "value_trace_starts": draw(st.sampled_from(["", "0.5"] + _PROBE)),
+    }
+    for key in _SHARED_PROBE_KEYS + _PROBE_KEYS[model]:
+        value = draw(st.none() | st.sampled_from(_PROBE))
+        if value is not None:
+            lines[key] = value
+    return "".join(f"{k} = {v}\n" for k, v in lines.items())
+
+
+@settings(max_examples=150, deadline=None)
+# a bandwidth far below the density grid's spacing (numpy warnings and
+# all-zero densities before it was refused)
+@example("model = evacuation\nn_particles = 8\nT = 0.08\nkde_bandwidth = 1e-300\n"
+         "snapshot_times = 0\n")
+# a domain whose CDF grid placed every particle outside the density's
+# support (an overflow in the moments before it was refused)
+@example("model = refinancing\nn_particles = 8\nT = 0.08\ndomain_lo = 1e-300\n"
+         "domain_hi = 1e300\nkde_bandwidth = 1e300\n")
+# no sweep prices the huge start control of the particle nearer the upper
+# boundary, so only the value trace overflows
+@example("model = refinancing\nn_particles = 2\nT = 0.004\nn_alpha = 2\nmax_sweeps = 0\n"
+         "value_trace_starts = 0.5\ncontrol_hi = 1e200\n")
+# costs stay finite without eps and beta, but the moments of a^2 overflow
+@example("model = evacuation\neps = 0\nbeta = 0\ncontrol_lo = -1e200\ncontrol_hi = 1e200\n"
+         "n_particles = 4\nT = 0.04\nmax_sweeps = 2\n")
+@given(text=_tiny_run_configs())
+def test_cli_run_ends_in_an_exit_code_never_a_traceback(text):
+    with tempfile.TemporaryDirectory() as work:
+        cfg_path = Path(work) / "run.cfg"
+        cfg_path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc = main(["run", "--config", str(cfg_path), "--out", str(Path(work) / "o")])
+    assert rc in (0, 1, 2, 3)
+    if rc in (1, 3):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from bestreply.controls import (
     ControlGrid,
-    ControlParams,
     cross_check_exponential_control,
     exponential_control_closed_form,
     linear_control_closed_loop,
@@ -77,10 +76,8 @@ def _best_response(costs):
     grid = ControlGrid(points=np.array([a for a, _ in costs]))
     table = np.array([c for _, c in costs])
     model = ModelSpec(
-        name="table",
         diffusion=0.0,
         domain=(0.0, 1.0),
-        control_bounds=(grid.lo, grid.hi),
         quad_weight=0.0,
         coupling_coef=0.0,
         state_cost=lambda t, xq, fm: table,
@@ -318,8 +315,7 @@ def test_cross_check_flags_lambert_domain_failure():
 # --------------------------------------------------------- parameter gates
 
 def test_gates_pass_for_small_m():
-    params = ControlParams(M1=0.1, M2=0.0, eps=0.5, M=0.05)
-    report = validate_parameters(params, lip_phi_prime=0.0, sup_phi_prime=0.1)
+    report = validate_parameters(0.5, 0.05, lip_phi_prime=0.0, sup_phi_prime=0.1)
     assert report.passed
     assert report.violations == ()
     assert report.margin == pytest.approx(0.82675, abs=1e-12)
@@ -328,37 +324,32 @@ def test_gates_pass_for_small_m():
 
 
 def test_gates_fail_for_m_equal_one():
-    params = ControlParams(M1=0.1, M2=0.0, eps=0.5, M=1.0)
-    report = validate_parameters(params, lip_phi_prime=0.0, sup_phi_prime=0.1)
+    report = validate_parameters(0.5, 1.0, lip_phi_prime=0.0, sup_phi_prime=0.1)
     assert not report.passed
     assert "a" in report.violations
 
 
 def test_gates_fail_on_steep_phi_prime():
-    params = ControlParams(M1=0.1, M2=0.0, eps=0.5, M=0.05)
-    report = validate_parameters(params, lip_phi_prime=400.0, sup_phi_prime=0.1)
+    report = validate_parameters(0.5, 0.05, lip_phi_prime=400.0, sup_phi_prime=0.1)
     assert "b" in report.violations
 
 
 def test_gates_fail_on_large_sup():
-    params = ControlParams(M1=0.1, M2=0.0, eps=0.5, M=0.05)
-    report = validate_parameters(params, lip_phi_prime=0.0, sup_phi_prime=1.5)
+    report = validate_parameters(0.5, 0.05, lip_phi_prime=0.0, sup_phi_prime=1.5)
     assert "c" in report.violations
 
 
 def test_gates_fail_on_eps_above_half():
     # 2*eps <= 1 is part of the first gate
-    params = ControlParams(M1=0.1, M2=0.0, eps=0.8, M=0.05)
-    report = validate_parameters(params, lip_phi_prime=0.0, sup_phi_prime=0.1)
+    report = validate_parameters(0.8, 0.05, lip_phi_prime=0.0, sup_phi_prime=0.1)
     assert "a" in report.violations
 
 
 def test_gates_reject_negative_inputs():
-    params = ControlParams(M1=0.1, M2=0.0, eps=0.5, M=0.05)
     with pytest.raises(ValueError):
-        validate_parameters(params, lip_phi_prime=-1.0, sup_phi_prime=0.1)
+        validate_parameters(0.5, 0.05, lip_phi_prime=-1.0, sup_phi_prime=0.1)
     with pytest.raises(ValueError):
-        validate_parameters(params, lip_phi_prime=0.0, sup_phi_prime=-0.1)
+        validate_parameters(0.5, 0.05, lip_phi_prime=0.0, sup_phi_prime=-0.1)
 
 
 def test_gate_b_equivalent_to_l_bound():
@@ -369,18 +360,14 @@ def test_gate_b_equivalent_to_l_bound():
         eps = float(rng.uniform(0.2, 0.5))
         lip = float(rng.uniform(0.0, 5.0))
         sup = float(rng.uniform(0.0, 0.2))
-        params = ControlParams(M1=0.1, M2=0.0, eps=eps, M=m)
-        report = validate_parameters(params, lip_phi_prime=lip, sup_phi_prime=sup)
+        report = validate_parameters(eps, m, lip_phi_prime=lip, sup_phi_prime=sup)
         if report.passed:
             assert report.lipschitz_constant < report.lipschitz_bound
         if "b" not in report.violations and "a" not in report.violations:
             assert "L" not in report.violations
 
 
-def test_control_params_validation():
-    with pytest.raises(ValueError):
-        ControlParams(M1=0.1, M2=0.0, eps=0.0, M=0.05)
-    with pytest.raises(ValueError):
-        ControlParams(M1=0.1, M2=0.0, eps=0.5, M=0.0)
-    with pytest.raises(ValueError):
-        ControlParams(M1=-0.1, M2=0.0, eps=0.5, M=0.05)
+def test_gates_reject_non_positive_eps_and_m():
+    for eps, m in ((0.0, 0.05), (0.5, 0.0), (-0.5, 0.05), (math.nan, 0.05), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            validate_parameters(eps, m, lip_phi_prime=0.0, sup_phi_prime=0.1)

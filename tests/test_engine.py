@@ -10,15 +10,14 @@ from bestreply.engine import (
     NonFiniteCostError,
     SweepOptions,
     TrajectorySet,
-    init_ensemble,
     initial_controls,
+    initial_positions,
     make_noise,
     max_greedy_gap,
     prune_control_set,
     run_to_equilibrium,
     run_two_phase,
     simulate_controls,
-    simulate_initial,
     sweep_best_reply,
     time_averaged_moments,
     value_function_trace,
@@ -26,12 +25,7 @@ from bestreply.engine import (
     warm_start_controls,
 )
 from bestreply.kernels import monomial_exponents, monomial_moments
-from bestreply.models import (
-    EvacuationParams,
-    ModelSpec,
-    evacuation_model,
-    refinancing_model,
-)
+from bestreply.models import ModelSpec, evacuation_model, refinancing_model
 
 
 def _grid11():
@@ -39,17 +33,25 @@ def _grid11():
 
 
 def _noninteracting(sigma=0.0):
-    return evacuation_model(
-        EvacuationParams(eta=0.0, beta=0.0, eps=0.5, softening=0.2), sigma=sigma
-    )
+    return evacuation_model(eta=0.0, beta=0.0, eps=0.5, softening=0.2, sigma=sigma)
+
+
+def _start(model, grid, n, n_steps):
+    """Positions of n particles and their nearest-boundary control matrix."""
+    x0 = initial_positions(n, model.initial_density, model.domain)
+    return x0, np.tile(initial_controls(x0, model.domain, grid)[:, None], (1, n_steps))
+
+
+def _rollout(model, grid, n, xi, dt):
+    """The frozen-control starting run of ``_start``'s particles."""
+    x0, controls = _start(model, grid, n, xi.shape[1])
+    return simulate_controls(x0, 1.0 / n, controls, model, xi, dt)
 
 
 def _constant_cost_model(rate=20.0):
     return ModelSpec(
-        name="constant",
         diffusion=0.0,
         domain=(0.0, 1.0),
-        control_bounds=(-0.2, 0.2),
         quad_weight=0.0,
         coupling_coef=0.0,
         state_cost=lambda t, xq, fm: np.full_like(xq, rate),
@@ -94,14 +96,13 @@ def test_step_sde_lower_exit():
 
 # ------------------------------------------------------------ initialization
 
-def test_init_ensemble_samples_inside_support():
+def test_initial_positions_sample_inside_support():
     model = evacuation_model()
-    ens = init_ensemble(600, model.initial_density, model.domain, _grid11())
-    assert ens.x0.shape == (600,)
-    assert np.all(ens.x0 > 0.5)
-    assert np.all(ens.x0 < 1.0)
-    assert ens.weight == 1.0 / 600
-    assert np.mean(ens.x0) == pytest.approx(0.75, abs=0.005)
+    x0 = initial_positions(600, model.initial_density, model.domain)
+    assert x0.shape == (600,)
+    assert np.all(x0 > 0.5)
+    assert np.all(x0 < 1.0)
+    assert np.mean(x0) == pytest.approx(0.75, abs=0.005)
 
 
 def test_initial_controls_point_to_nearest_boundary():
@@ -110,12 +111,11 @@ def test_initial_controls_point_to_nearest_boundary():
     assert out.tolist() == [0.2, -0.2, -0.2]
 
 
-def test_init_ensemble_rejects_bad_density():
-    grid = _grid11()
+def test_initial_positions_reject_bad_density():
     with pytest.raises(ValueError):
-        init_ensemble(10, lambda x: -np.ones_like(x), (0.0, 1.0), grid)
+        initial_positions(10, lambda x: -np.ones_like(x), (0.0, 1.0))
     with pytest.raises(ValueError):
-        init_ensemble(10, lambda x: np.zeros_like(x), (0.0, 1.0), grid)
+        initial_positions(10, lambda x: np.zeros_like(x), (0.0, 1.0))
 
 
 def test_make_noise_is_deterministic_per_particle():
@@ -130,9 +130,8 @@ def test_make_noise_is_deterministic_per_particle():
 
 def test_initial_mass_is_exactly_one():
     model = evacuation_model()
-    ens = init_ensemble(600, model.initial_density, model.domain, _grid11())
     xi = make_noise(0, 0, 600, 50)
-    traj = simulate_initial(ens, model, xi, 0.004, 50)
+    traj = _rollout(model, _grid11(), 600, xi, 0.004)
     mass = Flow.of(traj).mass
     assert mass[0] == 1.0
 
@@ -140,9 +139,8 @@ def test_initial_mass_is_exactly_one():
 def test_initial_simulation_freezes_exited_particles():
     model = _noninteracting()
     grid = _grid11()
-    ens = init_ensemble(40, model.initial_density, model.domain, grid)
     xi = make_noise(0, 0, 40, 400)
-    traj = simulate_initial(ens, model, xi, 0.01, 400)
+    traj = _rollout(model, grid, 40, xi, 0.01)
     exited = traj.exit_step <= 400
     assert np.any(exited)  # +0.2 drift reaches the upper boundary
     for k in np.nonzero(exited)[0][:5]:
@@ -157,9 +155,8 @@ def test_initial_simulation_freezes_exited_particles():
 def test_noninteracting_model_converges_in_two_sweeps():
     model = _noninteracting()
     grid = _grid11()
-    ens = init_ensemble(30, model.initial_density, model.domain, grid)
     result = run_to_equilibrium(
-        model, grid, ens, dt=0.004, n_steps=50, seed=3, max_sweeps=5,
+        model, grid, *_start(model, grid, 30, 50), dt=0.004, seed=3, max_sweeps=5,
         options=SweepOptions(),
     )
     assert result.converged
@@ -174,10 +171,9 @@ def test_noninteracting_model_converges_in_two_sweeps():
 def test_no_interaction_no_noise_means_seed_irrelevant():
     model = _noninteracting()
     grid = _grid11()
-    ens = init_ensemble(20, model.initial_density, model.domain, grid)
-    r1 = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=40, seed=0,
+    r1 = run_to_equilibrium(model, grid, *_start(model, grid, 20, 40), dt=0.004, seed=0,
                             max_sweeps=5, options=SweepOptions())
-    r2 = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=40, seed=99,
+    r2 = run_to_equilibrium(model, grid, *_start(model, grid, 20, 40), dt=0.004, seed=99,
                             max_sweeps=5, options=SweepOptions())
     assert np.array_equal(r1.trajectories.x, r2.trajectories.x)
     assert np.array_equal(r1.trajectories.alpha, r2.trajectories.alpha)
@@ -186,20 +182,20 @@ def test_no_interaction_no_noise_means_seed_irrelevant():
 def test_max_sweeps_zero_returns_initialization():
     model = _noninteracting()
     grid = _grid11()
-    ens = init_ensemble(10, model.initial_density, model.domain, grid)
-    result = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=20, seed=0,
+    x0, start = _start(model, grid, 10, 20)
+    result = run_to_equilibrium(model, grid, x0, start, dt=0.004, seed=0,
                                 max_sweeps=0, options=SweepOptions())
     assert not result.converged
     assert result.reports == []
-    assert np.all(result.trajectories.alpha[:, 0] == ens.alpha0)
+    assert np.all(result.trajectories.alpha[:, 0] == start[:, 0])
+    assert result.trajectories.weight == 1.0 / 10
 
 
 def test_evacuation_run_mass_monotone_and_contained():
     model = evacuation_model()
     grid = _grid11()
-    ens = init_ensemble(60, model.initial_density, model.domain, grid)
     result = run_to_equilibrium(
-        model, grid, ens, dt=0.004, n_steps=250, seed=1, max_sweeps=12,
+        model, grid, *_start(model, grid, 60, 250), dt=0.004, seed=1, max_sweeps=12,
         options=SweepOptions(),
     )
     traj = result.trajectories
@@ -218,9 +214,8 @@ def test_evacuation_run_mass_monotone_and_contained():
 def test_nash_stationarity_and_verification():
     model = evacuation_model()
     grid = _grid11()
-    ens = init_ensemble(40, model.initial_density, model.domain, grid)
     opts = SweepOptions()
-    result = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=150, seed=5,
+    result = run_to_equilibrium(model, grid, *_start(model, grid, 40, 150), dt=0.004, seed=5,
                                 max_sweeps=15, options=opts)
     assert result.converged
     mods, residual = verify_equilibrium(
@@ -244,9 +239,8 @@ def test_nash_stationarity_and_verification():
 def test_greedy_optimality_spot_check():
     model = evacuation_model()
     grid = _grid11()
-    ens = init_ensemble(40, model.initial_density, model.domain, grid)
     opts = SweepOptions()
-    result = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=150, seed=5,
+    result = run_to_equilibrium(model, grid, *_start(model, grid, 40, 150), dt=0.004, seed=5,
                                 max_sweeps=15, options=opts)
     assert result.converged
     gap = max_greedy_gap(result.trajectories, model, grid, options=opts)
@@ -256,8 +250,7 @@ def test_greedy_optimality_spot_check():
 def test_refinancing_smoke_run():
     model = refinancing_model()
     grid = ControlGrid.uniform(-0.05, 0.05, 11)
-    ens = init_ensemble(50, model.initial_density, model.domain, grid)
-    result = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=250, seed=0,
+    result = run_to_equilibrium(model, grid, *_start(model, grid, 50, 250), dt=0.004, seed=0,
                                 max_sweeps=10, options=SweepOptions())
     assert result.converged
     mass = Flow.of(result.trajectories).mass
@@ -270,9 +263,9 @@ def test_refinancing_smoke_run():
     assert np.all(traj.alpha[live] == 0.0)
 
 
-@pytest.mark.parametrize("model", [evacuation_model(), refinancing_model()],
+@pytest.mark.parametrize("model, bound", [(evacuation_model(), 0.2), (refinancing_model(), 0.05)],
                          ids=["post-step", "pre-step"])
-def test_sweep_calls_each_model_hook_once_per_decision(model):
+def test_sweep_calls_each_model_hook_once_per_decision(model, bound):
     # the benchmark's traced gate counts hook calls as decisions: a change
     # that batches the hooks has to change this test on purpose
     calls = {"state_cost": 0, "state_gain": 0}
@@ -288,11 +281,9 @@ def test_sweep_calls_each_model_hook_once_per_decision(model):
         state_cost=counted("state_cost", model.state_cost),
         state_gain=counted("state_gain", model.state_gain),
     )
-    lo, hi = model.control_bounds
-    grid = ControlGrid.uniform(lo, hi, 11)
-    ens = init_ensemble(40, model.initial_density, model.domain, grid)
+    grid = ControlGrid.uniform(-bound, bound, 11)
     xi = make_noise(3, 0, 40, 150)
-    traj = simulate_initial(ens, model, xi, 0.004, 150)
+    traj = _rollout(model, grid, 40, xi, 0.004)
     for sweep_index in range(1, 5):
         calls.update(state_cost=0, state_gain=0)
         traj, _report = sweep_best_reply(
@@ -314,9 +305,8 @@ def test_sweep_refuses_a_non_finite_cost():
         cost[..., 3] = np.nan
         return cost
 
-    ens = init_ensemble(20, model.initial_density, model.domain, grid)
     xi = make_noise(0, 0, 20, 30)
-    traj = simulate_initial(ens, model, xi, 0.004, 30)
+    traj = _rollout(model, grid, 20, xi, 0.004)
     with pytest.raises(NonFiniteCostError, match="step 0 .* sweep 1 of the main phase"):
         sweep_best_reply(
             traj, replace(model, state_cost=nan_past_index_0), grid,
@@ -362,9 +352,8 @@ def test_value_trace_backward_recursion_constant_cost():
 def test_value_traces_nonincreasing_and_zero_after_exit():
     model = evacuation_model()
     grid = _grid11()
-    ens = init_ensemble(40, model.initial_density, model.domain, grid)
     opts = SweepOptions()
-    result = run_to_equilibrium(model, grid, ens, dt=0.004, n_steps=200, seed=6,
+    result = run_to_equilibrium(model, grid, *_start(model, grid, 40, 200), dt=0.004, seed=6,
                                 max_sweeps=15, options=opts)
     u = value_function_trace(result.trajectories, model, opts)
     assert np.all(np.diff(u, axis=1) <= 1e-12)
@@ -447,10 +436,9 @@ def test_time_averaged_moments_match_reference_route():
 def test_time_averaged_moments_zero_distance_for_identical_runs():
     model = _noninteracting()
     grid = _grid11()
-    ens = init_ensemble(10, model.initial_density, model.domain, grid)
     xi = make_noise(0, 0, 10, 30)
-    t1 = simulate_initial(ens, model, xi, 0.004, 30)
-    t2 = simulate_initial(ens, model, xi, 0.004, 30)
+    t1 = _rollout(model, grid, 10, xi, 0.004)
+    t2 = _rollout(model, grid, 10, xi, 0.004)
     m1 = time_averaged_moments(t1, 20)
     m2 = time_averaged_moments(t2, 20)
     assert np.array_equal(m1, m2)
@@ -512,14 +500,20 @@ def test_simulate_controls_follows_given_paths():
     assert np.all(traj.alpha[1, 1:] == 0.0)
 
 
-def test_simulate_initial_is_constant_path_rollout():
+def test_boundary_start_is_constant_path_rollout():
+    # without phase 1 the main phase starts from the nearest-boundary rule,
+    # held at every step
     model = _noninteracting(sigma=1e-6)
     grid = _grid11()
-    ens = init_ensemble(7, model.initial_density, model.domain, grid)
-    xi = make_noise(3, 0, 7, 25)
-    by_rule = simulate_initial(ens, model, xi, 0.004, 25)
-    matrix = np.tile(ens.alpha0[:, None], (1, 25))
-    by_matrix = simulate_controls(ens.x0, ens.weight, matrix, model, xi, 0.004)
+    by_rule = run_two_phase(
+        model, grid,
+        n_particles=7, dt=0.004, n_steps=25, seed=3, max_sweeps=0,
+        options=SweepOptions(),
+        phase1_enabled=False, phase1_particles=1, keep_fraction=0.0,
+    ).phase2.trajectories
+    x0 = initial_positions(7, model.initial_density, model.domain)
+    matrix = np.tile(initial_controls(x0, model.domain, grid)[:, None], (1, 25))
+    by_matrix = simulate_controls(x0, 1.0 / 7, matrix, model, make_noise(3, 0, 7, 25), 0.004)
     assert np.array_equal(by_rule.x, by_matrix.x)
     assert np.array_equal(by_rule.alpha, by_matrix.alpha)
     assert np.array_equal(by_rule.exit_step, by_matrix.exit_step)

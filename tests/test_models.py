@@ -1,16 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bestreply.controls import ControlParams, validate_parameters
+from bestreply.config import parse_config, shipped_config_path
+from bestreply.controls import validate_parameters
 from bestreply.engine import simulate_controls
-from bestreply.models import (
-    EvacuationParams,
-    RefinancingParams,
-    evacuation_model,
-    refinancing_model,
-)
+from bestreply.models import evacuation_model, refinancing_model
 from monotone import monotonicity_integral, random_atoms
 
 EVAC_BOXES = ((0.0, 1.0), (-0.2, 0.2))
@@ -33,19 +30,19 @@ def _cost(model, t, x, alpha, atoms):
 # ------------------------------------------------------------- evacuation
 
 def test_evacuation_cost_at_first_moment():
-    model = evacuation_model(EvacuationParams(eta=4.0, beta=1.0, eps=0.5, softening=0.2))
+    model = evacuation_model(eta=4.0, beta=1.0, eps=0.5, softening=0.2)
     out = _cost(model, 0.0, 0.75, 0.0, _atoms([0.75], [0.0], [1.0]))
     assert out == pytest.approx(20.0, rel=1e-12)
 
 
 def test_evacuation_cost_plug_in():
-    model = evacuation_model(EvacuationParams(eta=4.0, beta=1.0, eps=0.5, softening=0.2))
+    model = evacuation_model(eta=4.0, beta=1.0, eps=0.5, softening=0.2)
     out = _cost(model, 0.0, 0.55, 0.2, _atoms([0.75], [0.1], [1.0]))
     assert out == pytest.approx(10.04, rel=1e-12)
 
 
 def test_evacuation_cost_pure_quadratic():
-    model = evacuation_model(EvacuationParams(eta=0.0, beta=0.0, eps=0.5, softening=0.2))
+    model = evacuation_model(eta=0.0, beta=0.0, eps=0.5, softening=0.2)
     out = _cost(model, 0.0, 0.4, -0.2, _atoms([0.3], [0.1], [0.8]))
     assert out == pytest.approx(0.5 * 0.04, rel=1e-14)
 
@@ -61,10 +58,20 @@ def test_evacuation_cost_finite_everywhere():
 
 # ------------------------------------------------------------ refinancing
 
-def _refinancing_drift(params, x0, controls, weight):
+def _refinancing(rate=None, state_cost=None):
+    """The default noiseless refinancing model, with the rate rho (drift
+    (1 + rho(theta)) * x + a) or the state cost ell(t, x) replaced."""
+    model = refinancing_model(sigma=0.0)
+    if rate is not None:
+        model = replace(model, state_gain=lambda th: 1.0 + rate(th))
+    if state_cost is not None:
+        model = replace(model, state_cost=lambda t, xq, fm: state_cost(t, xq))
+    return model
+
+
+def _refinancing_drift(model, x0, controls, weight):
     # one noiseless Euler step: the drift is the displacement over dt
     dt = 0.004
-    model = refinancing_model(params, sigma=0.0)
     x0 = np.asarray(x0, dtype=float)
     traj = simulate_controls(x0, weight, np.asarray(controls, dtype=float)[:, None],
                              model, np.zeros((x0.size, 1)), dt)
@@ -72,40 +79,34 @@ def _refinancing_drift(params, x0, controls, weight):
 
 
 def test_refinancing_drift_zero_rate():
-    out = _refinancing_drift(RefinancingParams(rho=lambda z: 0.0), [0.5], [-0.1], 1.0)
+    out = _refinancing_drift(_refinancing(rate=lambda z: 0.0), [0.5], [-0.1], 1.0)
     assert out[0] == pytest.approx(0.4, rel=1e-12)
 
 
 def test_refinancing_drift_at_origin():
-    assert _refinancing_drift(RefinancingParams(), [0.0], [0.0], 1.0)[0] == 0.0
+    assert _refinancing_drift(_refinancing(), [0.0], [0.0], 1.0)[0] == 0.0
 
 
 def test_refinancing_drift_identity_rate():
     # the mean control 0.5 * 0.2 = 0.1 scales every particle's state by 1.1
-    out = _refinancing_drift(RefinancingParams(rho=lambda z: z), [0.5, 0.3], [0.0, 0.2], 0.5)
+    out = _refinancing_drift(_refinancing(rate=lambda z: z), [0.5, 0.3], [0.0, 0.2], 0.5)
     assert out[0] == pytest.approx(1.1 * 0.5, rel=1e-12)
 
 
 def test_refinancing_cost_quadratic_only():
-    model = refinancing_model(
-        RefinancingParams(M1=0.1, eps=0.5, ell=lambda t, x: np.zeros_like(np.asarray(x, float)))
-    )
+    model = _refinancing(state_cost=lambda t, x: np.zeros_like(x))
     out = _cost(model, 0.0, 0.3, 0.1, _atoms([0.0], [0.0], [1.0]))
     assert out == pytest.approx(0.005, rel=1e-14)
 
 
 def test_refinancing_cost_plug_in():
-    model = refinancing_model(
-        RefinancingParams(M1=0.1, eps=0.5, ell=lambda t, x: np.zeros_like(np.asarray(x, float)))
-    )
+    model = _refinancing(state_cost=lambda t, x: np.zeros_like(x))
     out = _cost(model, 0.0, 0.3, 0.2, _atoms([0.0], [-0.2], [1.0]))
     assert out == pytest.approx(0.016, rel=1e-12)
 
 
 def test_refinancing_cost_state_term():
-    model = refinancing_model(
-        RefinancingParams(M1=0.1, eps=0.5, ell=lambda t, x: np.asarray(x, float) + 0.0)
-    )
+    model = _refinancing(state_cost=lambda t, x: x + 0.0)
     out = _cost(model, 0.0, 0.3, 0.0, _atoms([0.0], [0.1], [1.0]))
     assert out == pytest.approx(0.3, rel=1e-14)
 
@@ -173,14 +174,10 @@ def test_evacuation_congestion_breaks_monotonicity():
 
 def test_refinancing_defaults_pass_contraction_gates():
     model = refinancing_model()
-    params = ControlParams(
-        M1=model.coupling_coef,
-        M2=0.0,
-        eps=model.quad_weight,
-        M=max(abs(b) for b in model.control_bounds),
-    )
+    cfg = parse_config(shipped_config_path("refinancing_default.cfg"))
+    bound = max(abs(cfg.control_lo), abs(cfg.control_hi))
     report = validate_parameters(
-        params, lip_phi_prime=0.0, sup_phi_prime=model.coupling_coef
+        model.quad_weight, bound, lip_phi_prime=0.0, sup_phi_prime=model.coupling_coef
     )
     assert report.passed
 
@@ -188,9 +185,9 @@ def test_refinancing_defaults_pass_contraction_gates():
 # ----------------------------------------------------- ModelSpec interface
 
 def test_evacuation_spec_matches_free_functions():
-    # the hooks against the running cost written out from the parameters
-    params = EvacuationParams()
-    model = evacuation_model(params)
+    # the hooks against the running cost written out from the default
+    # parameters eta = 4, beta = 1, eps = 0.5 and softening = 0.2
+    model = evacuation_model()
     rng = np.random.default_rng(31)
     for _ in range(20):
         atoms = random_atoms(rng, *EVAC_BOXES)
@@ -198,15 +195,13 @@ def test_evacuation_spec_matches_free_functions():
         x = float(rng.uniform(0, 1))
         a = float(rng.uniform(-0.2, 0.2))
         fm, th = float(np.dot(atoms[2], atoms[0])), float(np.dot(atoms[2], atoms[1]))
-        want = (params.eta / (abs(fm - x) + params.softening)
-                + params.beta * a * th + params.eps * a * a)
+        want = 4.0 / (abs(fm - x) + 0.2) + 1.0 * a * th + 0.5 * a * a
         assert _cost(model, t, x, a, atoms) == pytest.approx(want, rel=1e-13)
 
 
 def test_refinancing_spec_matches_free_functions():
-    # as above, with the default state cost ell(t, x) = (1 + x) / 2
-    params = RefinancingParams()
-    model = refinancing_model(params)
+    # as above: the state cost (1 + x) / 2, m1 = 0.1 and eps = 0.5
+    model = refinancing_model()
     rng = np.random.default_rng(37)
     for _ in range(20):
         atoms = random_atoms(rng, *REFI_BOXES)
@@ -214,24 +209,24 @@ def test_refinancing_spec_matches_free_functions():
         x = float(rng.uniform(-1, 1))
         a = float(rng.uniform(-0.05, 0.05))
         th = float(np.dot(atoms[2], atoms[1]))
-        want = (1.0 + x) / 2.0 + params.M1 * a * th + params.eps * a * a
+        want = (1.0 + x) / 2.0 + 0.1 * a * th + 0.5 * a * a
         assert _cost(model, t, x, a, atoms) == pytest.approx(want, rel=1e-13)
 
 
 def test_vector_hooks_match_scalar_calls():
-    params = EvacuationParams()
-    model = evacuation_model(params)
+    model = evacuation_model()
     rng = np.random.default_rng(41)
     x_atoms, _alpha, w = random_atoms(rng, *EVAC_BOXES)
     fm = float(np.dot(w, x_atoms))
     xs = rng.uniform(0.0, 1.0, 16)
     costs = model.state_cost(0.0, xs, fm)
     for i, x in enumerate(xs.tolist()):
-        want = params.eta / (abs(fm - x) + params.softening)
+        want = 4.0 / (abs(fm - x) + 0.2)
         assert costs[i] == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("model", [evacuation_model(), refinancing_model()], ids=lambda m: m.name)
+@pytest.mark.parametrize("model", [evacuation_model(), refinancing_model()],
+                         ids=["evacuation", "refinancing"])
 def test_state_cost_block_matches_row_calls(model):
     # an (m, G) block with an (m, 1) first-moment column prices every row
     # exactly as m separate (G,) row calls with scalar moments do
@@ -269,13 +264,13 @@ def test_initial_densities():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        EvacuationParams(eta=-1.0)
+        evacuation_model(eta=-1.0)
     with pytest.raises(ValueError):
-        EvacuationParams(softening=0.0)
+        evacuation_model(softening=0.0)
     with pytest.raises(ValueError):
-        RefinancingParams(eps=0.0)
+        refinancing_model(eps=0.0)
     with pytest.raises(ValueError):
-        RefinancingParams(M1=-0.1)
+        refinancing_model(m1=-0.1)
 
 
 def test_model_spec_validation():

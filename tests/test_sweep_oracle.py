@@ -18,19 +18,18 @@ from bestreply.controls import ControlGrid
 from bestreply.engine import (
     SweepOptions,
     TrajectorySet,
-    init_ensemble,
+    initial_controls,
+    initial_positions,
     make_noise,
-    simulate_initial,
+    simulate_controls,
     sweep_best_reply,
     time_averaged_moments,
 )
 from bestreply.kernels import METRIC_TERMS, weak_star_distance_from_moments
-from bestreply.models import (
-    EvacuationParams,
-    RefinancingParams,
-    evacuation_model,
-    refinancing_model,
-)
+from bestreply.models import evacuation_model, refinancing_model
+
+# the shipped control bounds of each model, by whether it has a state gain
+_BOUNDS = {True: (-0.2, 0.2), False: (-0.05, 0.05)}
 
 
 def reference_sweep(prev, model, grid, *, seed, phase, sweep_index, xi, options):
@@ -126,9 +125,10 @@ def _same_bits(a, b):
 
 
 def _check_against_reference(model, grid, options, *, n, n_steps, dt, seed, sweeps):
-    ens = init_ensemble(n, model.initial_density, model.domain, grid)
+    x0 = initial_positions(n, model.initial_density, model.domain)
+    start = np.tile(initial_controls(x0, model.domain, grid)[:, None], (1, n_steps))
     xi = make_noise(seed, 0, n, n_steps)
-    engine_traj = simulate_initial(ens, model, xi, dt, n_steps)
+    engine_traj = simulate_controls(x0, 1.0 / n, start, model, xi, dt)
     ref_traj = engine_traj
     for sweep_index in range(1, sweeps + 1):
         kwargs = dict(seed=seed, phase=0, sweep_index=sweep_index, xi=xi, options=options)
@@ -147,16 +147,15 @@ def sweep_cases(draw):
     model_name = draw(st.sampled_from(["evacuation", "refinancing"]))
     sigma = draw(st.sampled_from([0.0, 2.5e-9, 1e-4, 1e-2]))
     if model_name == "evacuation":
-        params = EvacuationParams(
+        model = evacuation_model(
             eta=draw(st.sampled_from([0.0, 4.0])),
             beta=draw(st.sampled_from([0.0, 1.0, 5.0])),
             softening=draw(st.sampled_from([0.05, 0.2])),
+            sigma=sigma,
         )
-        model = evacuation_model(params, sigma=sigma)
     else:
-        params = RefinancingParams(M1=draw(st.sampled_from([0.0, 0.1, 2.0])))
-        model = refinancing_model(params, sigma=sigma)
-    lo, hi = model.control_bounds
+        model = refinancing_model(m1=draw(st.sampled_from([0.0, 0.1, 2.0])), sigma=sigma)
+    lo, hi = _BOUNDS[model.state_gain_is_zero]
     grid = ControlGrid.uniform(lo, hi, draw(st.integers(2, 11)))
     options = SweepOptions(theta_self=draw(st.sampled_from(["exclude", "include"])))
     return dict(
@@ -170,7 +169,7 @@ def sweep_cases(draw):
 
 
 def _case(model, n_points, theta_self, **run):
-    lo, hi = model.control_bounds
+    lo, hi = _BOUNDS[model.state_gain_is_zero]
     grid = ControlGrid.uniform(lo, hi, n_points)
     return dict(model=model, grid=grid, options=SweepOptions(theta_self=theta_self), **run)
 
@@ -178,13 +177,13 @@ def _case(model, n_points, theta_self, **run):
 # strong coupling: a step's decisions keep overturning the guess that each
 # visitor keeps its control, so the engine prices each step in many passes
 # (about 9 per step for beta = 50, about 25 for M1 = 20)
-@example(case=_case(evacuation_model(EvacuationParams(beta=50.0), sigma=1e-4), 11,
+@example(case=_case(evacuation_model(beta=50.0, sigma=1e-4), 11,
                     "exclude", n=40, n_steps=60, dt=0.02, seed=7, sweeps=3))
-@example(case=_case(evacuation_model(EvacuationParams(beta=50.0), sigma=1e-4), 11,
+@example(case=_case(evacuation_model(beta=50.0, sigma=1e-4), 11,
                     "include", n=40, n_steps=60, dt=0.02, seed=7, sweeps=3))
-@example(case=_case(refinancing_model(RefinancingParams(M1=20.0), sigma=1e-4), 11,
+@example(case=_case(refinancing_model(m1=20.0, sigma=1e-4), 11,
                     "exclude", n=40, n_steps=60, dt=0.02, seed=7, sweeps=3))
-@example(case=_case(refinancing_model(RefinancingParams(M1=20.0), sigma=1e-4), 11,
+@example(case=_case(refinancing_model(m1=20.0, sigma=1e-4), 11,
                     "include", n=40, n_steps=60, dt=0.02, seed=7, sweeps=3))
 # no noise and long steps: in 35 steps of the later sweeps every visitor is
 # one the previous sweep had already absorbed
